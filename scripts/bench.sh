@@ -4,11 +4,10 @@
 #                        insns/sec, TB hit rate per benchmark)
 #   BENCH_cfbench.json — Fig. 10 CF-Bench slowdowns + shape checks
 #   BENCH_farm.json    — farm throughput at 1/2/4/8 workers plus the
-#                        crash-isolated process-pool rows (p=2 without the
-#                        zygote template, bare, cold persistent store, warm
-#                        persistent store) + cache/store hit rates (see
-#                        bench_farm.cc for the shape checks: topology-
-#                        identical digests, template setup_ms saving, warm
+#                        crash-isolated process-pool rows (p=2 bare, cold
+#                        persistent store, warm persistent store) +
+#                        cache/store hit rates (see bench_farm.cc for the
+#                        shape checks: topology-identical digests, warm
 #                        store static_ms saving)
 #
 # Usage: scripts/bench.sh [build-dir] [--engine TIER]

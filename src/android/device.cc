@@ -3,27 +3,21 @@
 namespace ndroid::android {
 
 Device::Device(std::string app_name, taintdroid::DeviceIdentity identity)
-    : cpu(memory, memmap),
-      kernel(memory, memmap),
-      dvm(cpu, Layout::kLibdvm, Layout::kLibdvmSize, Layout::kDalvikHeap,
-          Layout::kDalvikHeapSize, Layout::kDalvikStack,
-          Layout::kDalvikStackSize),
-      jni(dvm, kernel),
-      libc(cpu, kernel, Layout::kLibc, Layout::kLibcSize, Layout::kLibm,
-           Layout::kLibmSize),
+    : Device(SystemImage::get(), std::move(app_name), std::move(identity)) {}
+
+Device::Device(const SystemImage& image, std::string app_name,
+               taintdroid::DeviceIdentity identity)
+    : memmap(image.install(memory)),
+      cpu(memory, memmap),
+      kernel(memory),
+      dvm(cpu, image.libdvm()),
+      jni(dvm, image.jni()),
+      libc(cpu, kernel, image.libc()),
       framework(dvm, kernel, std::move(identity)) {
-  memmap.add("[native-stack]", Layout::kNativeStack, Layout::kNativeStackSize,
-             mem::kRW);
+  cpu.install_helpers(image.helpers());
   cpu.set_initial_sp(Layout::kNativeStack + Layout::kNativeStackSize);
   kernel.attach(cpu);
-
-  app_pid_ = kernel.create_process(std::move(app_name));
-  // System libraries appear in the app's memory map (VMI ground truth).
-  for (const char* lib : {"libdvm.so", "libc.so", "libm.so"}) {
-    if (const mem::Region* r = memmap.find_by_name(lib)) {
-      kernel.map_region(app_pid_, *r);
-    }
-  }
+  app_pid_ = kernel.create_process(std::move(app_name), image.app_regions());
 }
 
 GuestAddr Device::load_native_lib(const std::string& name,

@@ -1,12 +1,15 @@
 // The emulated Android device: one object wiring every substrate with the
 // standard memory layout. Apps (src/apps) are loaded into a Device;
 // analysis systems (NDroid, the TaintDroid-only baseline, DroidScope-mode)
-// attach to a Device's instrumentation surfaces.
+// attach to a Device's instrumentation surfaces. Construction binds the
+// process-wide SystemImage (system_image.h) instead of assembling the
+// system libraries again.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "android/system_image.h"
 #include "arm/cpu.h"
 #include "dvm/dvm.h"
 #include "jni/jnienv.h"
@@ -18,24 +21,6 @@
 #include "taintdroid/framework.h"
 
 namespace ndroid::android {
-
-/// Canonical guest layout.
-struct Layout {
-  static constexpr GuestAddr kAppLibBase = 0x10000000;   // app .so files
-  static constexpr GuestAddr kHeapBase = 0x30000000;     // native heap (kernel)
-  static constexpr GuestAddr kDalvikHeap = 0x34000000;
-  static constexpr u32 kDalvikHeapSize = 0x01000000;
-  static constexpr GuestAddr kDalvikStack = 0x38000000;
-  static constexpr u32 kDalvikStackSize = 0x00100000;
-  static constexpr GuestAddr kLibdvm = 0x40000000;
-  static constexpr u32 kLibdvmSize = 0x00040000;
-  static constexpr GuestAddr kLibc = 0x40100000;
-  static constexpr u32 kLibcSize = 0x00020000;
-  static constexpr GuestAddr kLibm = 0x40200000;
-  static constexpr u32 kLibmSize = 0x00010000;
-  static constexpr GuestAddr kNativeStack = 0xBE000000;
-  static constexpr u32 kNativeStackSize = 0x00100000;
-};
 
 class Device {
  public:
@@ -67,6 +52,9 @@ class Device {
   taintdroid::Framework framework;
 
  private:
+  Device(const SystemImage& image, std::string app_name,
+         taintdroid::DeviceIdentity identity);
+
   GuestAddr lib_bump_ = Layout::kAppLibBase;
   u32 app_pid_ = 0;
 };

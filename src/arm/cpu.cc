@@ -2,17 +2,54 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <string>
+#include <utility>
 
 #include "arm/jit.h"  // complete JitEngine for ~Cpu / jit_engine_ resets
 
 namespace ndroid::arm {
+
+namespace {
+
+/// The calling thread's decode memo: direct-mapped, allocated on the
+/// thread's first decode and kept for the thread's lifetime.
+struct DecodeEntry {
+  u64 key = ~0ull;
+  Insn insn;
+};
+constexpr u32 kDecodeMemoBits = 14;
+
+DecodeEntry* decode_memo() {
+  thread_local std::unique_ptr<DecodeEntry[]> memo;
+  if (memo == nullptr) [[unlikely]] {
+    memo = std::make_unique<DecodeEntry[]>(1u << kDecodeMemoBits);
+  }
+  return memo.get();
+}
+
+/// Decodes through the memo; `hit` says whether the entry was there.
+const Insn& memo_decode(u64 key, u32 word, u16 hw2, bool& hit) {
+  DecodeEntry& entry =
+      decode_memo()[static_cast<u32>((key * 0x9E3779B97F4A7C15ull) >>
+                                     (64 - kDecodeMemoBits))];
+  hit = entry.key == key;
+  if (!hit) {
+    entry.insn = (key >> 62) == 2 ? decode_thumb(static_cast<u16>(word), hw2)
+                                  : decode_arm(word);
+    entry.key = key;
+  }
+  return entry.insn;
+}
+
+}  // namespace
 
 Cpu::Cpu(mem::AddressSpace& memory, mem::MemoryMap& memmap)
     : memory_(memory), memmap_(memmap) {
   // Self-modifying-code safety: any write into a page holding cached code
   // (guest store or host-side image load) kills the blocks it intersects.
   memory_.set_write_watch(
-      tb_cache_.code_page_bitmap(),
+      &tb_cache_.code_pages(),
       [this](GuestAddr addr, u32 len) { tb_cache_.invalidate_range(addr, len); });
   // And the TLB half of that contract: when cached code first lands on a
   // page, any write-TLB entry cached while the page was unwatched must go,
@@ -71,12 +108,25 @@ void Cpu::set_branch_gate(BranchGate gate, const u64* epoch) {
 }
 
 void Cpu::register_helper(GuestAddr addr, Helper helper) {
-  helpers_[addr & ~1u] = std::move(helper);
-  // Below the window every run loop skips the helper lookup by default;
-  // arm the check, and kill any cached block covering the shadowed address
-  // (translation also stops in front of low helpers from now on).
-  if ((addr & ~1u) < kHelperWindowBase) has_low_helpers_ = true;
-  tb_cache_.invalidate_range(addr & ~1u, 4);
+  addr &= ~1u;
+  if (addr < kHelperWindowBase) {
+    // Below the window every run loop skips the helper lookup by default;
+    // arm the check, and kill any cached block covering the shadowed
+    // address (translation also stops in front of low helpers from now on).
+    low_helpers_[addr] = std::move(helper);
+    has_low_helpers_ = true;
+    tb_cache_.invalidate_range(addr, 4);
+    return;
+  }
+  const u32 shared = system_helpers_ != nullptr
+                         ? static_cast<u32>(system_helpers_->size())
+                         : 0;
+  const u32 slot = (addr - kHelperWindowBase) >> 2;
+  if ((addr & 3) != 0 || slot < shared) {
+    throw GuestFault("helper slot unavailable at 0x" + std::to_string(addr));
+  }
+  if (slot - shared >= helpers_.size()) helpers_.resize(slot - shared + 1);
+  helpers_[slot - shared] = std::move(helper);
 }
 
 GuestAddr Cpu::register_helper_auto(Helper helper) {
@@ -84,6 +134,16 @@ GuestAddr Cpu::register_helper_auto(Helper helper) {
   next_helper_addr_ += 4;
   register_helper(addr, std::move(helper));
   return addr;
+}
+
+void Cpu::install_helpers(const HelperTable& table) {
+  system_helpers_ = &table;
+  next_helper_addr_ = kHelperWindowBase + 4 * static_cast<u32>(table.size());
+}
+
+HelperTable Cpu::take_helpers() {
+  next_helper_addr_ = kHelperWindowBase;
+  return std::exchange(helpers_, {});
 }
 
 void Cpu::set_use_tb_cache(bool on) {
@@ -111,18 +171,10 @@ void Cpu::fire_branch_hooks(GuestAddr from, GuestAddr to) {
 
 const Insn& Cpu::decode_cached(u64 key, u32 word, u16 hw2) {
   ++decode_lookups_;
-  const u32 index =
-      static_cast<u32>((key * 0x9E3779B97F4A7C15ull) >>
-                       (64 - kDecodeCacheBits));
-  DecodeEntry& entry = decode_cache_[index];
-  if (entry.key != key) {
-    entry.insn = (key >> 62) == 2 ? decode_thumb(static_cast<u16>(word), hw2)
-                                  : decode_arm(word);
-    entry.key = key;
-  } else {
-    ++decode_hits_;
-  }
-  return entry.insn;
+  bool hit = false;
+  const Insn& insn = memo_decode(key, word, hw2, hit);
+  decode_hits_ += hit ? 1 : 0;
+  return insn;
 }
 
 const Insn& Cpu::fetch_decode(GuestAddr pc, bool thumb) {
@@ -141,12 +193,35 @@ const Insn& Cpu::fetch_decode(GuestAddr pc, bool thumb) {
   return decode_cached(static_cast<u64>(word) | (1ull << 62), word, 0);
 }
 
+void Cpu::warm_decode(std::span<const u8> arm_code) {
+  for (std::size_t i = 0; i + 4 <= arm_code.size(); i += 4) {
+    u32 word;
+    std::memcpy(&word, arm_code.data() + i, 4);
+    bool hit = false;
+    memo_decode(static_cast<u64>(word) | (1ull << 62), word, 0, hit);
+  }
+}
+
 bool Cpu::run_helper(GuestAddr pc) {
-  auto it = helpers_.find(pc);
-  if (it == helpers_.end()) return false;
+  const Helper* helper = nullptr;
+  if (pc < kHelperWindowBase) {
+    auto it = low_helpers_.find(pc);
+    if (it != low_helpers_.end()) helper = &it->second;
+  } else if ((pc & 3) == 0) {
+    u32 slot = (pc - kHelperWindowBase) >> 2;
+    const u32 shared = system_helpers_ != nullptr
+                           ? static_cast<u32>(system_helpers_->size())
+                           : 0;
+    if (slot < shared) {
+      helper = &(*system_helpers_)[slot];
+    } else if ((slot -= shared) < helpers_.size() && helpers_[slot]) {
+      helper = &helpers_[slot];
+    }
+  }
+  if (helper == nullptr) return false;
   ++retired_;
   const GuestAddr ret = state_.lr();
-  it->second(*this);
+  (*helper)(*this);
   if (state_.pc() == pc) {
     state_.thumb = (ret & 1) != 0;
     state_.set_pc(ret & ~1u);
@@ -193,7 +268,7 @@ std::shared_ptr<TranslationBlock> Cpu::translate(GuestAddr pc, bool thumb) {
     // shadows ordinary guest code: the run loop must regain control there
     // to dispatch helpers.
     if (cur >= kHelperWindowBase) break;
-    if (has_low_helpers_ && cur != pc && helpers_.count(cur) != 0) break;
+    if (cur != pc && is_low_helper(cur)) break;
     const Insn& insn = fetch_decode(cur, thumb);
     if (insn.op == Op::kUndefined) break;  // step() raises the fault
     if (insn.op == Op::kIt) {
@@ -396,7 +471,7 @@ chain:
         // landing) surfaces to run_tb as before. The helper-window check
         // also covers kHostReturnAddr, which lives above the window base.
         if (state_.itstate == 0 && to < kHelperWindowBase &&
-            (!has_low_helpers_ || helpers_.count(to) == 0)) {
+            !is_low_helper(to)) {
           const u64 key = TbCache::key(to, state_.thumb);
           TbFrontEntry& fe = tb_front_[static_cast<u32>(
               (key * 0x9E3779B97F4A7C15ull) >> (64 - kTbFrontBits))];
@@ -479,8 +554,7 @@ bool Cpu::run_tb(u64 max_steps) {
       ++done;
       continue;
     }
-    if (pc >= kHelperWindowBase ||
-        (has_low_helpers_ && helpers_.count(pc) != 0)) {
+    if (pc >= kHelperWindowBase || is_low_helper(pc)) {
       step();  // helper dispatch (or plain execution in the window)
       ++done;
       continue;
@@ -535,8 +609,7 @@ bool Cpu::run_threaded(u64 max_steps) {
       ++done;
       continue;
     }
-    if (pc >= kHelperWindowBase ||
-        (has_low_helpers_ && helpers_.count(pc) != 0)) {
+    if (pc >= kHelperWindowBase || is_low_helper(pc)) {
       step();  // helper dispatch (or plain execution in the window)
       ++done;
       continue;

@@ -13,21 +13,32 @@
 //  * *helpers* are C++ implementations behind guest addresses: when the PC
 //    lands on one, the helper runs and control returns to LR. Guest stubs in
 //    our fake libdvm/libc call them, keeping call chains visible as guest
-//    branches.
+//    branches. Window helpers sit in a dense slot-indexed table; the system
+//    image's table is shared by every Device's Cpu, and its helpers reach
+//    their per-Device Dvm/Libc/Kernel through the Cpu they run on (owner).
 //
-// Execution has two engines:
-//  * the interpretive path (`use_tb_cache=false`): fetch/decode/hook/execute
-//    one instruction at a time — the paper-faithful baseline the ablation
-//    benches measure;
-//  * the translation-block path (default): straight-line instruction runs
-//    are decoded once into a TranslationBlock (see arm/tb_cache.h) and
-//    replayed with hooks resolved once per block. A client-installed block
-//    gate may declare a whole block hook-free (NDroid's taint-liveness fast
-//    path), in which case only the executor runs.
+// Execution has four tiers (set_use_tb_cache / set_threaded_enabled /
+// set_jit_enabled):
+//  * interpretive (`use_tb_cache=false`): fetch/decode/hook/execute one
+//    instruction at a time — the paper-faithful baseline;
+//  * translation blocks (`threaded_enabled=false`): straight-line runs are
+//    decoded once into a TranslationBlock (arm/tb_cache.h) and replayed
+//    with hooks resolved once per block; a client block gate may declare a
+//    whole block hook-free (NDroid's taint-liveness fast path);
+//  * threaded micro-ops (default, arm/threaded.h): streams with inline TLB
+//    probes and direct block links;
+//  * template JIT (arm/jit.h): host x86-64 code over the same streams, with
+//    taint-fused traced bodies for taint-live blocks.
+//
+// Decoding is memoised per thread, not per Cpu: a decode is a pure function
+// of (word, mode), so one memo is safe under self-modifying code and across
+// every Cpu on the thread, and a new Cpu initialises no table.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -47,6 +58,8 @@ struct JitEngine;  // arm/jit.h — host-code-emission backend state
 using InsnHook = std::function<void(Cpu&, const Insn&, GuestAddr pc)>;
 using BranchHook = std::function<void(Cpu&, GuestAddr from, GuestAddr to)>;
 using Helper = std::function<void(Cpu&)>;
+/// Dense helper table: slot i sits at kHelperWindowBase + 4*i.
+using HelperTable = std::vector<Helper>;
 using SvcHandler = std::function<void(Cpu&, u32 svc_number)>;
 
 /// Consulted once per block execution when every instruction hook is gated:
@@ -103,6 +116,11 @@ inline constexpr GuestAddr kHostReturnAddr = 0xFFFF0000u;
 /// before block lookup, and translation never crosses into it.
 inline constexpr GuestAddr kHelperWindowBase = 0xF0000000u;
 
+/// Per-Device objects that shared (system-image) helpers run against. Each
+/// registers itself on its Device's Cpu when it binds; a helper built once
+/// per process finds the right one through the Cpu it runs on.
+enum class HelperOwner : u8 { kDvm, kLibc, kKernel, kCount };
+
 class Cpu {
  public:
   explicit Cpu(mem::AddressSpace& memory, mem::MemoryMap& memmap);
@@ -153,6 +171,24 @@ class Cpu {
   /// Registers a helper at the next free address in the helper window
   /// (0xF0000000+) and returns that address.
   GuestAddr register_helper_auto(Helper helper);
+
+  /// Serves `table` (owned by the caller, outliving this Cpu, immutable) as
+  /// the helper window's first slots; later registrations land above it.
+  /// Call before registering any window helper.
+  void install_helpers(const HelperTable& table);
+  /// Moves out the window helpers registered on this Cpu (how the system
+  /// image captures the table its builders registered).
+  [[nodiscard]] HelperTable take_helpers();
+
+  void set_owner(HelperOwner slot, void* owner) {
+    owners_[static_cast<u8>(slot)] = owner;
+  }
+  template <class T>
+  [[nodiscard]] T& owner(HelperOwner slot) const {
+    void* p = owners_[static_cast<u8>(slot)];
+    if (p == nullptr) throw GuestFault("helper owner not bound on this cpu");
+    return *static_cast<T*>(p);
+  }
 
   void set_svc_handler(SvcHandler handler) { svc_handler_ = std::move(handler); }
 
@@ -270,9 +306,14 @@ class Cpu {
     return jit_fallback_blocks_;
   }
 
-  /// Decode-cache statistics (shared by both execution engines).
+  /// Decode-memo statistics: this Cpu's own lookups and hits, although the
+  /// memo itself is shared by every Cpu on the thread.
   [[nodiscard]] u64 decode_lookups() const { return decode_lookups_; }
   [[nodiscard]] u64 decode_hits() const { return decode_hits_; }
+
+  /// Decodes every word of `arm_code` into the calling thread's decode
+  /// memo (a zygote warms it once; the processes it forks inherit it).
+  static void warm_decode(std::span<const u8> arm_code);
 
  private:
   /// The threaded inner loop lives outside the class (arm/threaded.cc) but
@@ -295,6 +336,10 @@ class Cpu {
   bool run_jit(u64 max_steps);
   /// Runs a helper if one is registered at `pc`; returns false otherwise.
   bool run_helper(GuestAddr pc);
+  /// True when `pc` below the helper window is shadowed by a helper.
+  [[nodiscard]] bool is_low_helper(GuestAddr pc) const {
+    return has_low_helpers_ && low_helpers_.count(pc) != 0;
+  }
   std::shared_ptr<TranslationBlock> translate(GuestAddr pc, bool thumb);
   /// Replays `tb` (and, after quiet taken branches, chains straight into
   /// cached successor blocks) until the budget runs out or control leaves
@@ -319,21 +364,12 @@ class Cpu {
   mem::MemoryMap& memmap_;
   CPUState state_{};
 
-  /// Decode cache (keyed by instruction word + mode, never the address:
-  /// decoding is address-independent, so the cache is safe under
-  /// self-modifying code). 16-bit Thumb encodings key on their own halfword
+  /// Decodes through the thread's memo (keyed by instruction word + mode,
+  /// never the address). 16-bit Thumb encodings key on their own halfword
   /// alone; only 32-bit Thumb-2 encodings include the second halfword.
-  struct DecodeEntry {
-    u64 key = ~0ull;
-    Insn insn;
-  };
-  static constexpr u32 kDecodeCacheBits = 14;
   const Insn& decode_cached(u64 key, u32 word, u16 hw2);
   /// Fetches and decodes the instruction at `pc` in the current mode.
   const Insn& fetch_decode(GuestAddr pc, bool thumb);
-
-  std::vector<DecodeEntry> decode_cache_ =
-      std::vector<DecodeEntry>(1u << kDecodeCacheBits);
 
   std::vector<HookEntry> insn_hooks_;
   int gated_hooks_ = 0;
@@ -343,11 +379,17 @@ class Cpu {
   const u64* block_gate_epoch_ = nullptr;
   BranchGate branch_gate_;
   const u64* branch_gate_epoch_ = nullptr;
-  std::unordered_map<GuestAddr, Helper> helpers_;
+  /// Window slots [0, system_helpers_->size()) come from the shared table,
+  /// the rest from helpers_ (indexed from the end of the shared table).
+  const HelperTable* system_helpers_ = nullptr;
+  HelperTable helpers_;
+  /// Helpers shadowing ordinary guest addresses (tests only).
+  std::unordered_map<GuestAddr, Helper> low_helpers_;
   /// True once any helper shadows an address below the helper window; until
   /// then ordinary guest PCs skip the helper hash lookup entirely.
   bool has_low_helpers_ = false;
   GuestAddr next_helper_addr_ = kHelperWindowBase;
+  std::array<void*, static_cast<u8>(HelperOwner::kCount)> owners_{};
   SvcHandler svc_handler_;
   int next_hook_id_ = 1;
   u64 retired_ = 0;

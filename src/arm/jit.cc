@@ -455,7 +455,7 @@ const void* JitRun::resolve(void* ctx_, void* jb_, u32 slot_idx, u32 from,
     return nullptr;
   }
   if (s.itstate != 0 || to >= kHelperWindowBase ||
-      (cpu.has_low_helpers_ && cpu.helpers_.count(to) != 0)) {
+      cpu.is_low_helper(to)) {
     s.set_pc(to);
     return nullptr;
   }
@@ -2036,8 +2036,7 @@ bool Cpu::run_jit(u64 max_steps) {
       ++done;
       continue;
     }
-    if (pc >= kHelperWindowBase ||
-        (has_low_helpers_ && helpers_.count(pc) != 0)) {
+    if (pc >= kHelperWindowBase || is_low_helper(pc)) {
       step();  // helper dispatch
       ++done;
       continue;

@@ -4,8 +4,6 @@
 
 namespace ndroid::arm {
 
-TbCache::TbCache() : code_pages_(1u << (32 - kPageShift), 0) {}
-
 std::shared_ptr<TranslationBlock> TbCache::lookup(GuestAddr pc, bool thumb) {
   ++lookups_;
   auto it = blocks_.find(key(pc, thumb));
@@ -22,8 +20,8 @@ void TbCache::insert(std::shared_ptr<TranslationBlock> tb) {
       kPageShift;
   for (u32 page = first_page; page <= last_page; ++page) {
     page_blocks_[page].push_back(tb.get());
-    if (code_pages_[page] == 0) {
-      code_pages_[page] = 1;
+    if (!code_pages_.test(page)) {
+      code_pages_.set(page, true);
       // The page just became write-watched; any write-TLB entry cached for
       // it while unwatched must be dropped (see set_watch_armed_notifier).
       if (watch_armed_) watch_armed_(page);
@@ -55,7 +53,7 @@ void TbCache::kill_block(TranslationBlock* tb) {
     std::erase(pit->second, tb);
     if (pit->second.empty()) {
       page_blocks_.erase(pit);
-      code_pages_[page] = 0;
+      code_pages_.set(page, false);
     }
   }
 }
@@ -88,7 +86,7 @@ void TbCache::flush() {
     graveyard_.push_back(std::move(tb));
   }
   blocks_.clear();
-  for (auto& [page, list] : page_blocks_) code_pages_[page] = 0;
+  for (auto& [page, list] : page_blocks_) code_pages_.set(page, false);
   page_blocks_.clear();
 }
 

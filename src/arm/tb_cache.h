@@ -10,8 +10,8 @@
 // (the taint-liveness fast path).
 //
 // Invalidation rules (self-modifying code, dlopen, register_helper):
-//  * every page covered by a cached block is marked in a code-page bitmap;
-//  * the guest address space consults the bitmap on writes and reports hits
+//  * every page covered by a cached block is marked in a code-page map;
+//  * the guest address space consults the map on writes and reports hits
 //    back (see AddressSpace::set_write_watch), which kills every block
 //    intersecting the written range — including a block that rewrites
 //    itself mid-execution (`dead` is checked by the block executor);
@@ -24,10 +24,7 @@
 #include <vector>
 
 #include "arm/insn.h"
-
-namespace ndroid::mem {
-class AddressSpace;
-}  // namespace ndroid::mem
+#include "mem/address_space.h"
 
 namespace ndroid::arm {
 
@@ -113,7 +110,7 @@ class TbCache {
     return static_cast<u64>(pc) | (static_cast<u64>(thumb) << 32);
   }
 
-  TbCache();
+  TbCache() = default;
   TbCache(const TbCache&) = delete;
   TbCache& operator=(const TbCache&) = delete;
 
@@ -161,10 +158,10 @@ class TbCache {
     hits_ += n;
   }
 
-  /// Page-granular bitmap of pages holding cached code; the address space
-  /// checks it on every write (one byte per 4 KiB page over 4 GiB).
-  [[nodiscard]] const u8* code_page_bitmap() const {
-    return code_pages_.data();
+  /// Pages holding cached code; the address space checks it on every
+  /// slow-path write (the write watch).
+  [[nodiscard]] const mem::PageFlags& code_pages() const {
+    return code_pages_;
   }
 
   /// Called with the page number whenever a code-page bit arms (0 -> 1) —
@@ -195,7 +192,7 @@ class TbCache {
 
   std::unordered_map<u64, std::shared_ptr<TranslationBlock>> blocks_;
   std::unordered_map<u32, std::vector<TranslationBlock*>> page_blocks_;
-  std::vector<u8> code_pages_;
+  mem::PageFlags code_pages_;
   /// Killed blocks parked until the executor is provably outside them.
   std::vector<std::shared_ptr<TranslationBlock>> graveyard_;
   u64 version_ = 0;

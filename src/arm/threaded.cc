@@ -572,7 +572,7 @@ u64 ThreadedRun::exec_impl(Cpu* cpu_p, ThreadedBlock* entry, u64 budget,
     // entered directly. ITSTATE / helper-window / host-return landings
     // surface (host return lives above the window base).
     if (s.itstate != 0 || edge_to >= kHelperWindowBase ||
-        (cpu.has_low_helpers_ && cpu.helpers_.count(edge_to) != 0))
+        cpu.is_low_helper(edge_to))
         [[unlikely]] {
       s.set_pc(edge_to);
       CLOSE_BLOCK();

@@ -11,45 +11,62 @@ constexpr u32 kFidIndex = 4;
 constexpr u32 kFidType = 8;
 constexpr u32 kFidStatic = 12;
 constexpr u32 kFidSize = 16;
+
+/// A class's guest mirror: a descriptor-string pointer and a zero word.
+GuestAddr place_mirror(mem::AddressSpace& memory, LibdvmArena& arena,
+                       std::string_view descriptor) {
+  const GuestAddr mirror = arena.alloc_data(8);
+  const GuestAddr desc =
+      arena.alloc_data(static_cast<u32>(descriptor.size()) + 1);
+  memory.write_cstr(desc, descriptor);
+  memory.write32(mirror, desc);
+  memory.write32(mirror + 4, 0);
+  return mirror;
+}
 }  // namespace
 
-Dvm::Dvm(arm::Cpu& cpu, GuestAddr libdvm_base, u32 libdvm_size,
-         GuestAddr heap_base, u32 heap_size, GuestAddr stack_base,
-         u32 stack_size)
+Dvm::Dvm(arm::Cpu& cpu, const LibdvmImage& image)
     : cpu_(cpu),
-      heap_(cpu.memory(), heap_base, heap_size),
-      stack_(cpu.memory(), stack_base, stack_size) {
-  cpu_.memmap().add("libdvm.so", libdvm_base, libdvm_size, mem::kRWX);
-  cpu_.memmap().add("[dalvik-heap]", heap_base, heap_size, mem::kRW);
-  cpu_.memmap().add("[dalvik-stack]", stack_base, stack_size, mem::kRW);
-
-  build_stubs(libdvm_base, libdvm_size);
-  thread_self_addr_ = data_alloc(32);
-  string_class_ = define_class("Ljava/lang/String;");
+      heap_(cpu.memory(), image.layout.heap_base, image.layout.heap_size),
+      stack_(cpu.memory(), image.layout.stack_base, image.layout.stack_size),
+      symbols_(image.symbols),
+      arena_(image.arena),
+      thread_self_addr_(image.thread_self) {
+  cpu_.set_owner(arm::HelperOwner::kDvm, this);
+  string_class_ = register_class("Ljava/lang/String;", image.string_mirror);
 }
 
 // ---------------------------------------------------------------------------
 // Guest stubs. Each libdvm function is a tiny guest routine that calls a C++
 // helper; internal calls between libdvm functions happen at guest level so
-// multilevel hooking sees the full branch chain (paper Fig. 5).
+// multilevel hooking sees the full branch chain (paper Fig. 5). Helpers are
+// shared by every Device, so each finds its Dvm through the Cpu it runs on.
 // ---------------------------------------------------------------------------
 
-void Dvm::build_stubs(GuestAddr base, u32 size) {
-  stub_bump_ = base;
-  stub_end_ = base + 0x8000;
-  data_bump_ = base + 0x8000;
-  data_end_ = base + size;
+LibdvmImage Dvm::build_image(arm::Cpu& cpu, const DvmLayout& layout) {
+  LibdvmImage image;
+  image.layout = layout;
+  image.arena = {layout.libdvm_base, layout.libdvm_base + 0x8000,
+                 layout.libdvm_base + 0x8000,
+                 layout.libdvm_base + layout.libdvm_size};
+  cpu.memmap().add("libdvm.so", layout.libdvm_base, layout.libdvm_size,
+                   mem::kRWX);
+  cpu.memmap().add("[dalvik-heap]", layout.heap_base, layout.heap_size,
+                   mem::kRW);
+  cpu.memmap().add("[dalvik-stack]", layout.stack_base, layout.stack_size,
+                   mem::kRW);
+  auto& mem = cpu.memory();
 
-  const GuestAddr h_jni = cpu_.register_helper_auto(
-      [this](arm::Cpu& c) { helper_call_jni_method(c); });
-  const GuestAddr h_prep_v = cpu_.register_helper_auto(
-      [this](arm::Cpu& c) { helper_call_method_prepare(c, 'V'); });
-  const GuestAddr h_prep_a = cpu_.register_helper_auto(
-      [this](arm::Cpu& c) { helper_call_method_prepare(c, 'A'); });
-  const GuestAddr h_interp = cpu_.register_helper_auto(
-      [this](arm::Cpu& c) { helper_interpret(c); });
-  const GuestAddr h_finish = cpu_.register_helper_auto(
-      [this](arm::Cpu& c) { helper_call_method_finish(c); });
+  const GuestAddr h_jni = cpu.register_helper_auto(
+      [](arm::Cpu& c) { of(c).helper_call_jni_method(c); });
+  const GuestAddr h_prep_v = cpu.register_helper_auto(
+      [](arm::Cpu& c) { of(c).helper_call_method_prepare(c, 'V'); });
+  const GuestAddr h_prep_a = cpu.register_helper_auto(
+      [](arm::Cpu& c) { of(c).helper_call_method_prepare(c, 'A'); });
+  const GuestAddr h_interp = cpu.register_helper_auto(
+      [](arm::Cpu& c) { of(c).helper_interpret(c); });
+  const GuestAddr h_finish = cpu.register_helper_auto(
+      [](arm::Cpu& c) { of(c).helper_call_method_finish(c); });
 
   auto simple_stub = [&](const std::string& name, GuestAddr helper) {
     arm::Assembler a(0);
@@ -57,7 +74,7 @@ void Dvm::build_stubs(GuestAddr base, u32 size) {
     a.call(helper);
     a.pop({arm::PC});
     const auto code = a.finish();
-    return stub_alloc(name, code);
+    return image.stub_alloc(mem, name, code);
   };
 
   simple_stub("dvmCallJNIMethod", h_jni);
@@ -76,26 +93,29 @@ void Dvm::build_stubs(GuestAddr base, u32 size) {
     a.call(h_finish);
     a.pop({arm::R(4), arm::PC});
     const auto code = a.finish();
-    return stub_alloc(name, code);
+    return image.stub_alloc(mem, name, code);
   };
   call_method_stub_body("dvmCallMethodV", h_prep_v);
   call_method_stub_body("dvmCallMethodA", h_prep_a);
 
   // Memory allocation functions (MAF, Table III).
   const GuestAddr h_alloc_object =
-      cpu_.register_helper_auto([this](arm::Cpu& c) {
-        ClassObject* cls = class_at(c.state().regs[0]);
-        Object* obj = heap_.new_instance(cls);
+      cpu.register_helper_auto([](arm::Cpu& c) {
+        Dvm& dvm = of(c);
+        ClassObject* cls = dvm.class_at(c.state().regs[0]);
+        Object* obj = dvm.heap_.new_instance(cls);
         c.state().regs[0] = obj->addr();
       });
   const GuestAddr h_string_cstr =
-      cpu_.register_helper_auto([this](arm::Cpu& c) {
+      cpu.register_helper_auto([](arm::Cpu& c) {
+        Dvm& dvm = of(c);
         const std::string s = c.memory().read_cstr(c.state().regs[0]);
-        Object* obj = heap_.new_string(string_class_, s);
+        Object* obj = dvm.heap_.new_string(dvm.string_class_, s);
         c.state().regs[0] = obj->addr();
       });
   const GuestAddr h_string_unicode =
-      cpu_.register_helper_auto([this](arm::Cpu& c) {
+      cpu.register_helper_auto([](arm::Cpu& c) {
+        Dvm& dvm = of(c);
         const GuestAddr chars = c.state().regs[0];
         const u32 len = c.state().regs[1];
         std::string s;
@@ -103,26 +123,27 @@ void Dvm::build_stubs(GuestAddr base, u32 size) {
         for (u32 i = 0; i < len; ++i) {
           s.push_back(static_cast<char>(c.memory().read16(chars + 2 * i)));
         }
-        Object* obj = heap_.new_string(string_class_, std::move(s));
+        Object* obj = dvm.heap_.new_string(dvm.string_class_, std::move(s));
         c.state().regs[0] = obj->addr();
       });
   const GuestAddr h_alloc_array_class =
-      cpu_.register_helper_auto([this](arm::Cpu& c) {
-        ClassObject* cls = class_at(c.state().regs[0]);
-        Object* obj = heap_.new_array(cls, c.state().regs[1], 4, true);
+      cpu.register_helper_auto([](arm::Cpu& c) {
+        Dvm& dvm = of(c);
+        ClassObject* cls = dvm.class_at(c.state().regs[0]);
+        Object* obj = dvm.heap_.new_array(cls, c.state().regs[1], 4, true);
         c.state().regs[0] = obj->addr();
       });
   const GuestAddr h_alloc_prim_array =
-      cpu_.register_helper_auto([this](arm::Cpu& c) {
+      cpu.register_helper_auto([](arm::Cpu& c) {
         const u32 elem_size = c.state().regs[0];
         const u32 len = c.state().regs[1];
-        Object* obj = heap_.new_array(nullptr, len, elem_size, false);
+        Object* obj = of(c).heap_.new_array(nullptr, len, elem_size, false);
         c.state().regs[0] = obj->addr();
       });
   const GuestAddr h_decode_iref =
-      cpu_.register_helper_auto([this](arm::Cpu& c) {
+      cpu.register_helper_auto([](arm::Cpu& c) {
         const u32 ref = c.state().regs[0];
-        c.state().regs[0] = ref == 0 ? 0 : irt_.decode(ref)->addr();
+        c.state().regs[0] = ref == 0 ? 0 : of(c).irt_.decode(ref)->addr();
       });
 
   simple_stub("dvmAllocObject", h_alloc_object);
@@ -131,26 +152,48 @@ void Dvm::build_stubs(GuestAddr base, u32 size) {
   simple_stub("dvmAllocArrayByClass", h_alloc_array_class);
   simple_stub("dvmAllocPrimitiveArray", h_alloc_prim_array);
   simple_stub("dvmDecodeIndirectRef", h_decode_iref);
+
+  // Data every Dvm starts with: the Thread* handed to dvmCallJNIMethod and
+  // java.lang.String's class mirror.
+  image.thread_self = image.arena.alloc_data(32);
+  image.string_mirror = place_mirror(mem, image.arena, "Ljava/lang/String;");
+  return image;
+}
+
+GuestAddr LibdvmArena::alloc_stub(mem::AddressSpace& memory,
+                                  std::span<const u8> code) {
+  const GuestAddr addr = stub_bump;
+  if (addr + code.size() > stub_end) {
+    throw GuestFault("libdvm stub space exhausted");
+  }
+  memory.write_bytes(addr, code);
+  stub_bump += (static_cast<u32>(code.size()) + 3) & ~3u;
+  return addr;
+}
+
+GuestAddr LibdvmArena::alloc_data(u32 size) {
+  const GuestAddr addr = data_bump;
+  data_bump += (size + 3) & ~3u;
+  if (data_bump > data_end) throw GuestFault("libdvm data space exhausted");
+  return addr;
+}
+
+GuestAddr LibdvmImage::stub_alloc(mem::AddressSpace& memory,
+                                  const std::string& name,
+                                  std::span<const u8> code) {
+  const GuestAddr addr = arena.alloc_stub(memory, code);
+  symbols[name] = addr;
+  return addr;
 }
 
 GuestAddr Dvm::stub_alloc(const std::string& name,
                           std::span<const u8> code) {
-  const GuestAddr addr = stub_bump_;
-  if (addr + code.size() > stub_end_) {
-    throw GuestFault("libdvm stub space exhausted");
-  }
-  cpu_.memory().write_bytes(addr, code);
-  stub_bump_ += (static_cast<u32>(code.size()) + 3) & ~3u;
-  symbols_[name] = addr;
+  const GuestAddr addr = arena_.alloc_stub(cpu_.memory(), code);
+  symbols_.set(name, addr);
   return addr;
 }
 
-GuestAddr Dvm::data_alloc(u32 size) {
-  const GuestAddr addr = data_bump_;
-  data_bump_ += (size + 3) & ~3u;
-  if (data_bump_ > data_end_) throw GuestFault("libdvm data space exhausted");
-  return addr;
-}
+GuestAddr Dvm::data_alloc(u32 size) { return arena_.alloc_data(size); }
 
 GuestAddr Dvm::data_cstr(std::string_view s) {
   const GuestAddr addr = data_alloc(static_cast<u32>(s.size()) + 1);
@@ -159,9 +202,9 @@ GuestAddr Dvm::data_cstr(std::string_view s) {
 }
 
 GuestAddr Dvm::sym(const std::string& name) const {
-  auto it = symbols_.find(name);
-  if (it == symbols_.end()) throw GuestFault("no libdvm symbol: " + name);
-  return it->second;
+  const GuestAddr addr = symbols_.find(name);
+  if (addr == 0) throw GuestFault("no libdvm symbol: " + name);
+  return addr;
 }
 
 GuestAddr Dvm::call_method_stub(char kind) const {
@@ -175,13 +218,15 @@ GuestAddr Dvm::call_method_stub(char kind) const {
 ClassObject* Dvm::define_class(const std::string& descriptor) {
   auto it = classes_.find(descriptor);
   if (it != classes_.end()) return it->second.get();
+  return register_class(descriptor,
+                        place_mirror(cpu_.memory(), arena_, descriptor));
+}
+
+ClassObject* Dvm::register_class(const std::string& descriptor,
+                                 GuestAddr mirror) {
   auto cls = std::make_unique<ClassObject>(descriptor);
   ClassObject* raw = cls.get();
   classes_[descriptor] = std::move(cls);
-
-  const GuestAddr mirror = data_alloc(8);
-  cpu_.memory().write32(mirror, data_cstr(descriptor));
-  cpu_.memory().write32(mirror + 4, 0);
   class_by_mirror_[mirror] = raw;
   mirror_by_class_[raw] = mirror;
   return raw;

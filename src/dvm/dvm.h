@@ -19,6 +19,13 @@
 //
 // Method structs are materialised in guest memory so hook engines can read
 // name/shorty/class/flags the way NDroid reads them out of a real libdvm.
+//
+// libdvm.so itself — stubs, helper table entries, the JNI function table
+// the jni layer assembles into it, and its symbols — is built once per
+// process (build_image, driven by android::SystemImage, which also carries
+// the resulting pages into every Device). A Dvm binds that image: it views
+// the shared symbol table and continues the arenas where the image left
+// them; the class registry, heap, stack and reference table are its own.
 #pragma once
 
 #include <map>
@@ -28,6 +35,7 @@
 #include <vector>
 
 #include "arm/cpu.h"
+#include "common/symbol_table.h"
 #include "dvm/heap.h"
 #include "dvm/method.h"
 #include "dvm/stack.h"
@@ -64,11 +72,56 @@ struct GuestMethodLayout {
   static constexpr u32 kSize = 28;
 };
 
+/// Where libdvm.so and the Dalvik heap and stack live.
+struct DvmLayout {
+  GuestAddr libdvm_base = 0;
+  u32 libdvm_size = 0;
+  GuestAddr heap_base = 0;
+  u32 heap_size = 0;
+  GuestAddr stack_base = 0;
+  u32 stack_size = 0;
+};
+
+/// Bump allocators over libdvm.so: code stubs in the first 32 KiB, data
+/// (strings, mirrors, method structs, the JNI table) above.
+struct LibdvmArena {
+  GuestAddr stub_bump = 0;
+  GuestAddr stub_end = 0;
+  GuestAddr data_bump = 0;
+  GuestAddr data_end = 0;
+
+  GuestAddr alloc_stub(mem::AddressSpace& memory, std::span<const u8> code);
+  GuestAddr alloc_data(u32 size);
+};
+
+/// libdvm.so as built once per process. Dvm objects bind it by reference,
+/// so it must outlive them.
+struct LibdvmImage {
+  DvmLayout layout;
+  LibdvmArena arena;
+  SymbolTable::Map symbols;
+  GuestAddr thread_self = 0;
+  GuestAddr string_mirror = 0;  // java.lang.String's class mirror
+
+  /// Build-time: assembles `code` into the stub area and publishes it.
+  GuestAddr stub_alloc(mem::AddressSpace& memory, const std::string& name,
+                       std::span<const u8> code);
+};
+
 class Dvm {
  public:
-  Dvm(arm::Cpu& cpu, GuestAddr libdvm_base, u32 libdvm_size,
-      GuestAddr heap_base, u32 heap_size, GuestAddr stack_base,
-      u32 stack_size);
+  /// Assembles libdvm.so's stubs and helpers into `cpu`'s memory, memory
+  /// map and helper window, and places the data every Dvm starts with.
+  static LibdvmImage build_image(arm::Cpu& cpu, const DvmLayout& layout);
+
+  /// Binds `image` (see the file comment) on `cpu`, whose memory already
+  /// holds the image's libdvm.so pages.
+  Dvm(arm::Cpu& cpu, const LibdvmImage& image);
+
+  /// The Dvm bound on `cpu` (how shared helpers find their owner).
+  [[nodiscard]] static Dvm& of(arm::Cpu& cpu) {
+    return cpu.owner<Dvm>(arm::HelperOwner::kDvm);
+  }
 
   Dvm(const Dvm&) = delete;
   Dvm& operator=(const Dvm&) = delete;
@@ -136,8 +189,8 @@ class Dvm {
 
   // --- Symbols (libdvm exports, for hook engines) --------------------------
   [[nodiscard]] GuestAddr sym(const std::string& name) const;
-  [[nodiscard]] const std::map<std::string, GuestAddr>& symbols() const {
-    return symbols_;
+  [[nodiscard]] const SymbolTable::Map& symbols() const {
+    return symbols_.map();
   }
 
   // --- Guest data area (strings, scratch, JValues) -------------------------
@@ -168,7 +221,8 @@ class Dvm {
  private:
   friend class Interpreter;
 
-  void build_stubs(GuestAddr base, u32 size);
+  ClassObject* register_class(const std::string& descriptor,
+                              GuestAddr mirror);
   GuestAddr materialise_method(Method& m);
   void register_method(ClassObject* cls, std::unique_ptr<Method> m);
 
@@ -201,11 +255,8 @@ class Dvm {
   std::map<GuestAddr, FieldRef> field_ids_;
   std::map<std::string, GuestAddr> field_id_cache_;
 
-  std::map<std::string, GuestAddr> symbols_;
-  GuestAddr stub_bump_ = 0;
-  GuestAddr stub_end_ = 0;
-  GuestAddr data_bump_ = 0;
-  GuestAddr data_end_ = 0;
+  SymbolTable symbols_;
+  LibdvmArena arena_;
   GuestAddr jnienv_addr_ = 0;
   GuestAddr thread_self_addr_ = 0;
   GuestAddr jvalue_scratch_ = 0;

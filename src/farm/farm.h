@@ -13,8 +13,9 @@
 // the inline serial path (workers == 0).
 //
 // Setting FarmOptions::processes instead shards the batch across worker
-// *processes* (see process_pool.cc): pre-forked zygote workers fork one
-// grandchild per job off a copy-on-write template snapshot, results come
+// *processes* (see process_pool.cc): pre-forked zygote workers build the
+// process's android::SystemImage once and fork one grandchild per job,
+// which inherits the image through copy-on-write; results come
 // back over a framed pipe protocol into the same bounded channel, and a
 // crashing or deadline-blowing job costs exactly that job — the supervisor
 // retries it once and then records the failure in the FarmReport. The
@@ -60,8 +61,8 @@ struct FarmOptions {
   /// Worker *processes*. Non-zero selects the crash-isolated fork pool
   /// (process_pool.cc) and ignores `workers`: the supervisor stays
   /// single-threaded on the calling thread, each job runs in a grandchild
-  /// forked off a pre-built copy-on-write snapshot, and a crash/timeout
-  /// costs only that job (retried once, then marked failed).
+  /// forked off a zygote that already built the system image, and a
+  /// crash/timeout costs only that job (retried once, then marked failed).
   u32 processes = 0;
   /// Per-job wall-clock deadline in process mode (SIGALRM in the job's own
   /// process). 0 = no deadline. Ignored in serial/thread modes, where a
@@ -76,12 +77,6 @@ struct FarmOptions {
   std::string store_dir;
   /// Externally owned store (e.g. a test's). Overrides store_dir.
   static_analysis::SummaryStore* store = nullptr;
-  /// Process mode: build one pristine template Device per zygote and hand
-  /// it to every job process through copy-on-write fork memory (jobs whose
-  /// kind uses a default Device then skip construction entirely). Off =
-  /// every job process builds its own Device — the ablation row bench_farm
-  /// uses to price the template.
-  bool zygote_template = true;
   /// Fault-injection hook (tests only): runs inside the job's own process in
   /// process mode, immediately before the job executes. A hook that
   /// abort()s, SIGKILLs, or spins past the deadline exercises exactly the
@@ -164,13 +159,9 @@ struct FarmReport {
 };
 
 /// Runs one job hermetically (fresh Device + NDroid); never throws — build
-/// or drive failures are captured in JobResult::error. `snapshot`, when
-/// non-null, is a pristine default-constructed Device the job may consume
-/// instead of building its own (the fork pool's copy-on-write template;
-/// only jobs whose kind uses a default Device take it).
+/// or drive failures are captured in JobResult::error.
 JobResult run_job(const JobSpec& spec, static_analysis::SummaryCache* cache,
-                  const FarmOptions& options,
-                  android::Device* snapshot = nullptr);
+                  const FarmOptions& options);
 
 FarmReport run_farm(const std::vector<JobSpec>& jobs,
                     const FarmOptions& options = {});

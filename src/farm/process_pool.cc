@@ -16,7 +16,7 @@
 #include <cstring>
 #include <deque>
 
-#include "android/device.h"
+#include "android/system_image.h"
 #include "common/serde.h"
 #include "farm/channel.h"
 #include "static/library_summary.h"
@@ -235,12 +235,11 @@ bool read_exact(int fd, u8* data, std::size_t len) {
 void alarm_handler(int) { _exit(wire::kTimeoutExit); }
 
 /// The job process: runs exactly one job against the inherited
-/// copy-on-write substrate, writes one result frame, and exits without
+/// copy-on-write system image, writes one result frame, and exits without
 /// running destructors (_exit — this address space is a fork disposable).
 [[noreturn]] void job_process_main(int out_fd, u32 index, const JobSpec& spec,
                                    const FarmOptions& opts,
-                                   SummaryCache* cache,
-                                   android::Device* snapshot) {
+                                   SummaryCache* cache) {
   if (opts.job_timeout_ms > 0) {
     struct sigaction sa {};
     sa.sa_handler = &alarm_handler;
@@ -261,7 +260,7 @@ void alarm_handler(int) { _exit(wire::kTimeoutExit); }
           ? opts.store->stats()
           : static_analysis::SummaryStore::Stats{};
 
-  JobResult r = run_job(spec, cache, opts, snapshot);
+  JobResult r = run_job(spec, cache, opts);
 
   // Jobs run sequentially in this process, so the counter deltas are exactly
   // this job's activity; they ship home in the frame because this process's
@@ -302,17 +301,16 @@ wire::DeathInfo classify_death(int status, u32 timeout_ms) {
   return d;
 }
 
-/// The zygote worker: builds the template substrate once, then serves job
+/// The zygote worker: builds the system image once, then serves job
 /// indices read off the job pipe, forking one job process per job and
 /// forwarding (or synthesizing) exactly one frame per job upstream.
 [[noreturn]] void zygote_main(int job_fd, int res_fd,
                               const std::vector<JobSpec>& jobs,
                               const FarmOptions& opts, SummaryCache* cache) {
-  // The expensive part of setup_ms, paid once per worker instead of once
-  // per job: every job process forks a pristine copy-on-write copy.
-  // (Skipped for the zygote_template=false ablation.)
-  std::optional<android::Device> template_device;
-  if (opts.zygote_template) template_device.emplace();
+  // Paid once per worker instead of once per job: every job process
+  // inherits the image and this thread's warm decode memo through
+  // copy-on-write, so its Devices only bind.
+  android::SystemImage::get().warm_decode();
 
   for (;;) {
     u8 le[4];
@@ -331,8 +329,7 @@ wire::DeathInfo classify_death(int status, u32 timeout_ms) {
       // Critical: if this copy kept the result-pipe write end open, the
       // supervisor could never see the zygote's death as EOF.
       ::close(res_fd);
-      job_process_main(job_pipe[1], index, jobs[index], opts, cache,
-                       template_device ? &*template_device : nullptr);
+      job_process_main(job_pipe[1], index, jobs[index], opts, cache);
     }
     ::close(job_pipe[1]);
 

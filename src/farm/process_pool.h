@@ -4,10 +4,10 @@
 //
 // Topology (run_farm_processes): the supervisor stays single-threaded on
 // the calling thread and pre-forks one *zygote* per worker slot. A zygote
-// builds the expensive analysis substrate once (a pristine template
-// android::Device) and then forks one short-lived *job process* per
-// dispatched job; the job inherits the template through copy-on-write
-// memory, so per-job setup_ms collapses to the fork. The job writes exactly
+// builds the process's android::SystemImage once (and warms its decode
+// memo), then forks one short-lived *job process* per dispatched job; the
+// job inherits both through copy-on-write memory, so its Device only binds
+// the image. The same image serves thread workers. The job writes exactly
 // one frame — its serialized JobResult — to a private pipe; the zygote
 // validates the frame and forwards it verbatim to the supervisor, or, when
 // the job died (signal, deadline SIGALRM, torn frame), synthesizes a death

@@ -1,6 +1,5 @@
 // Per-job execution: one isolated Device + NDroid per JobSpec.
 #include <chrono>
-#include <optional>
 #include <stdexcept>
 
 #include "apps/cfbench.h"
@@ -65,19 +64,8 @@ void collect(JobResult& r, android::Device& device, core::NDroid& nd) {
   }
 }
 
-/// Picks the job's Device: the fork pool's pre-built copy-on-write template
-/// when one is offered (skipping Device construction entirely — the
-/// dominant share of setup_ms), else a fresh local one. The template is
-/// byte-identical to a default-constructed Device, so results cannot
-/// differ.
-android::Device& pick_device(std::optional<android::Device>& local,
-                             android::Device* snapshot) {
-  if (snapshot != nullptr) return *snapshot;
-  return local.emplace();
-}
-
 void run_leak_case(JobResult& r, const JobSpec& spec, core::NDroidConfig cfg,
-                   EngineTier engine, android::Device* snapshot) {
+                   EngineTier engine) {
   apps::LeakScenario (*builder)(android::Device&) = nullptr;
   for (const auto& [name, b] : apps::all_cases()) {
     if (name == spec.name) builder = b;
@@ -85,8 +73,7 @@ void run_leak_case(JobResult& r, const JobSpec& spec, core::NDroidConfig cfg,
   if (builder == nullptr) throw std::runtime_error("unknown case " + spec.name);
 
   const auto t0 = Clock::now();
-  std::optional<android::Device> local;
-  android::Device& device = pick_device(local, snapshot);
+  android::Device device;
   apply_engine(device, engine);
   core::NDroid nd(device, cfg);
   const apps::LeakScenario scenario = builder(device);
@@ -103,10 +90,9 @@ void run_leak_case(JobResult& r, const JobSpec& spec, core::NDroidConfig cfg,
 }
 
 void run_cfbench(JobResult& r, const JobSpec& spec, core::NDroidConfig cfg,
-                 EngineTier engine, android::Device* snapshot) {
+                 EngineTier engine) {
   const auto t0 = Clock::now();
-  std::optional<android::Device> local;
-  android::Device& device = pick_device(local, snapshot);
+  android::Device device;
   apply_engine(device, engine);
   core::NDroid nd(device, cfg);
   apps::CfBenchApp app(device);
@@ -220,7 +206,7 @@ void run_fuzz(JobResult& r, const JobSpec& spec) {
 }  // namespace
 
 JobResult run_job(const JobSpec& spec, static_analysis::SummaryCache* cache,
-                  const FarmOptions& options, android::Device* snapshot) {
+                  const FarmOptions& options) {
   JobResult r;
   r.spec = spec;
 
@@ -232,10 +218,10 @@ JobResult run_job(const JobSpec& spec, static_analysis::SummaryCache* cache,
   try {
     switch (spec.kind) {
       case JobKind::kLeakCase:
-        run_leak_case(r, spec, cfg, options.engine, snapshot);
+        run_leak_case(r, spec, cfg, options.engine);
         break;
       case JobKind::kCfBench:
-        run_cfbench(r, spec, cfg, options.engine, snapshot);
+        run_cfbench(r, spec, cfg, options.engine);
         break;
       case JobKind::kMarketApp: run_market_app(r, spec, cfg, options.engine); break;
       case JobKind::kRealApp: run_real_app(r, spec, cfg, options.engine); break;

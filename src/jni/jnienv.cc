@@ -1,6 +1,7 @@
 #include "jni/jnienv.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "arm/assembler.h"
 
@@ -12,45 +13,20 @@ using arm::PC;
 using arm::R;
 using dvm::Object;
 
-JniEnv::JniEnv(dvm::Dvm& dvm, os::Kernel& kernel)
-    : dvm_(dvm), kernel_(kernel) {
-  // JNIEnv* -> table pointer -> function pointers.
-  table_addr_ = dvm_.data_alloc(4 * static_cast<u32>(JniFn::kCount));
-  env_addr_ = dvm_.data_alloc(4);
-  dvm_.memory().write32(env_addr_, table_addr_);
-  build();
-  dvm_.set_jnienv_addr(env_addr_);
+JniEnv::JniEnv(dvm::Dvm& dvm, const JniImage& image)
+    : dvm_(dvm), image_(image) {
+  dvm_.set_jnienv_addr(image_.env_addr);
 }
 
 GuestAddr JniEnv::fn(const std::string& name) const {
-  auto it = symbols_.find(name);
-  if (it == symbols_.end()) throw GuestFault("no JNI function: " + name);
+  auto it = image_.symbols.find(name);
+  if (it == image_.symbols.end()) throw GuestFault("no JNI function: " + name);
   return it->second;
 }
 
 GuestAddr JniEnv::fn(JniFn index) const {
-  return dvm_.memory().read32(table_addr_ + 4 * static_cast<u32>(index));
-}
-
-void JniEnv::publish(const std::string& name, JniFn index, GuestAddr addr) {
-  symbols_[name] = addr;
-  dvm_.memory().write32(table_addr_ + 4 * static_cast<u32>(index), addr);
-}
-
-GuestAddr JniEnv::add_helper_fn(const std::string& name, JniFn index,
-                                arm::Helper helper) {
-  // Helper-backed functions still get a one-instruction guest landing pad
-  // inside libdvm.so so their addresses look like library code; the pad
-  // tail-calls the helper.
-  const GuestAddr haddr = dvm_.cpu().register_helper_auto(std::move(helper));
-  Assembler a(0);
-  a.push({LR});
-  a.call(haddr);
-  a.pop({PC});
-  const auto code = a.finish();
-  const GuestAddr addr = dvm_.stub_alloc(name, code);
-  publish(name, index, addr);
-  return addr;
+  return dvm_.memory().read32(image_.table_addr +
+                              4 * static_cast<u32>(index));
 }
 
 namespace {
@@ -66,13 +42,65 @@ u32 to_local_ref(dvm::Dvm& dvm, u32 real_addr) {
   return dvm.irt().add(obj);
 }
 
-}  // namespace
+GuestAddr guest_mmap(arm::Cpu& c, u32 len) {
+  return os::Kernel::of(c).mmap_anonymous(len);
+}
 
-void JniEnv::build() {
-  auto& dvm = dvm_;
+/// Build-time state: the table and its functions assemble into libdvm.so
+/// (they are part of libdvm on real Android). Helpers are shared by every
+/// Device, so they find their Dvm and Kernel through the Cpu they run on.
+struct Builder {
+  arm::Cpu& cpu_;
+  dvm::LibdvmImage& libdvm_;
+  JniImage& image_;
+
+  /// Registers a shared helper; `fn` may take the running Device's Dvm.
+  template <class F>
+  GuestAddr register_helper(F fn) {
+    if constexpr (std::is_invocable_v<F, dvm::Dvm&, arm::Cpu&>) {
+      return cpu_.register_helper_auto(
+          [fn](arm::Cpu& c) { fn(dvm::Dvm::of(c), c); });
+    } else {
+      return cpu_.register_helper_auto(fn);
+    }
+  }
+  template <class F>
+  GuestAddr add_helper_fn(const std::string& name, JniFn index, F helper) {
+    // Helper-backed functions still get a one-instruction guest landing pad
+    // inside libdvm.so so their addresses look like library code; the pad
+    // tail-calls the helper.
+    const GuestAddr haddr = register_helper(helper);
+    Assembler a(0);
+    a.push({LR});
+    a.call(haddr);
+    a.pop({PC});
+    const auto code = a.finish();
+    const GuestAddr addr = stub_alloc(name, code);
+    publish(name, index, addr);
+    return addr;
+  }
+  void publish(const std::string& name, JniFn index, GuestAddr addr) {
+    image_.symbols[name] = addr;
+    cpu_.memory().write32(image_.table_addr + 4 * static_cast<u32>(index),
+                          addr);
+  }
+  GuestAddr stub_alloc(const std::string& name, std::span<const u8> code) {
+    return libdvm_.stub_alloc(cpu_.memory(), name, code);
+  }
+  GuestAddr sym(const std::string& name) const {
+    return libdvm_.symbols.at(name);
+  }
+  void build_accessors();
+  void build_call_method_family();
+  void build_object_creation();
+  void build_throw_new();
+};
+
+void Builder::build_accessors() {
 
   // --- Class / method / field resolution ---------------------------------
-  add_helper_fn("FindClass", JniFn::kFindClass, [&dvm](arm::Cpu& c) {
+  add_helper_fn("FindClass", JniFn::kFindClass, [](arm::Cpu& c) {
+    dvm::Dvm& dvm = dvm::Dvm::of(c);
     const std::string desc = c.memory().read_cstr(c.state().regs[1]);
     // JNI accepts both "java/lang/String" and "Ljava/lang/String;".
     std::string norm = desc;
@@ -83,7 +111,7 @@ void JniEnv::build() {
     c.state().regs[0] = cls ? dvm.class_mirror(cls) : 0;
   });
 
-  auto method_id_helper = [&dvm](arm::Cpu& c) {
+  auto method_id_helper = [](dvm::Dvm& dvm, arm::Cpu& c) {
     dvm::ClassObject* cls = dvm.class_at(c.state().regs[1]);
     const std::string name = c.memory().read_cstr(c.state().regs[2]);
     dvm::Method* m = cls->find_method(name);
@@ -93,13 +121,14 @@ void JniEnv::build() {
   add_helper_fn("GetStaticMethodID", JniFn::kGetStaticMethodID,
                 method_id_helper);
 
-  add_helper_fn("GetFieldID", JniFn::kGetFieldID, [&dvm](arm::Cpu& c) {
+  add_helper_fn("GetFieldID", JniFn::kGetFieldID, [](arm::Cpu& c) {
+    dvm::Dvm& dvm = dvm::Dvm::of(c);
     dvm::ClassObject* cls = dvm.class_at(c.state().regs[1]);
     const std::string name = c.memory().read_cstr(c.state().regs[2]);
     c.state().regs[0] = dvm.field_id(cls, name, /*is_static=*/false);
   });
   add_helper_fn("GetStaticFieldID", JniFn::kGetStaticFieldID,
-                [&dvm](arm::Cpu& c) {
+                [](dvm::Dvm& dvm, arm::Cpu& c) {
                   dvm::ClassObject* cls = dvm.class_at(c.state().regs[1]);
                   const std::string name =
                       c.memory().read_cstr(c.state().regs[2]);
@@ -108,7 +137,7 @@ void JniEnv::build() {
 
   // --- Strings and arrays (helper-backed accessors) ----------------------
   add_helper_fn("GetStringLength", JniFn::kGetStringLength,
-                [&dvm](arm::Cpu& c) {
+                [](dvm::Dvm& dvm, arm::Cpu& c) {
                   Object* s = decode_or_null(dvm, c.state().regs[1]);
                   c.state().regs[0] =
                       s ? static_cast<u32>(dvm.heap().read_string(*s).size())
@@ -117,7 +146,7 @@ void JniEnv::build() {
 
   add_helper_fn(
       "GetStringUTFChars", JniFn::kGetStringUTFChars,
-      [&dvm, this](arm::Cpu& c) {
+      [](dvm::Dvm& dvm, arm::Cpu& c) {
         Object* s = decode_or_null(dvm, c.state().regs[1]);
         if (s == nullptr) {
           c.state().regs[0] = 0;
@@ -125,7 +154,7 @@ void JniEnv::build() {
         }
         const std::string utf = dvm.heap().read_string(*s);
         const GuestAddr buf =
-            kernel_.mmap_anonymous(static_cast<u32>(utf.size()) + 1);
+            guest_mmap(c, static_cast<u32>(utf.size()) + 1);
         c.memory().write_cstr(buf, utf);
         if (const u32 is_copy = c.state().regs[2]; is_copy != 0) {
           c.memory().write8(is_copy, 1);
@@ -139,19 +168,19 @@ void JniEnv::build() {
                 [](arm::Cpu& c) { c.state().regs[0] = 0; });
 
   add_helper_fn("GetArrayLength", JniFn::kGetArrayLength,
-                [&dvm](arm::Cpu& c) {
+                [](dvm::Dvm& dvm, arm::Cpu& c) {
                   Object* a = decode_or_null(dvm, c.state().regs[1]);
                   c.state().regs[0] = a ? a->length() : 0;
                 });
 
-  auto get_array_elements = [&dvm, this](arm::Cpu& c) {
+  auto get_array_elements = [](dvm::Dvm& dvm, arm::Cpu& c) {
     Object* a = decode_or_null(dvm, c.state().regs[1]);
     if (a == nullptr) {
       c.state().regs[0] = 0;
       return;
     }
     const u32 bytes = a->length() * a->elem_size();
-    const GuestAddr buf = kernel_.mmap_anonymous(std::max<u32>(bytes, 1));
+    const GuestAddr buf = guest_mmap(c, std::max<u32>(bytes, 1));
     c.memory().copy(buf, dvm.heap().array_data_addr(*a), bytes);
     if (const u32 is_copy = c.state().regs[2]; is_copy != 0) {
       c.memory().write8(is_copy, 1);
@@ -163,7 +192,7 @@ void JniEnv::build() {
   add_helper_fn("GetByteArrayElements", JniFn::kGetByteArrayElements,
                 get_array_elements);
 
-  auto release_array_elements = [&dvm](arm::Cpu& c) {
+  auto release_array_elements = [](dvm::Dvm& dvm, arm::Cpu& c) {
     // mode 0: copy back and free.
     Object* a = decode_or_null(dvm, c.state().regs[1]);
     const GuestAddr buf = c.state().regs[2];
@@ -184,10 +213,11 @@ void JniEnv::build() {
   auto direct_helper_fn = [this](const std::string& name, JniFn index,
                                  arm::Helper helper) {
     const GuestAddr addr =
-        dvm_.cpu().register_helper_auto(std::move(helper));
+        register_helper(std::move(helper));
     publish(name, index, addr);
   };
-  auto array_region = [&dvm](arm::Cpu& c, bool set) {
+  auto array_region = [](arm::Cpu& c, bool set) {
+    dvm::Dvm& dvm = dvm::Dvm::of(c);
     Object* a = decode_or_null(dvm, c.state().regs[1]);
     if (a == nullptr) return;
     const u32 start = c.state().regs[2];
@@ -216,7 +246,7 @@ void JniEnv::build() {
                    [array_region](arm::Cpu& c) { array_region(c, true); });
 
   add_helper_fn("GetObjectArrayElement", JniFn::kGetObjectArrayElement,
-                [&dvm](arm::Cpu& c) {
+                [](dvm::Dvm& dvm, arm::Cpu& c) {
                   Object* a = decode_or_null(dvm, c.state().regs[1]);
                   if (a == nullptr) {
                     c.state().regs[0] = 0;
@@ -227,7 +257,7 @@ void JniEnv::build() {
                   c.state().regs[0] = to_local_ref(dvm, direct);
                 });
   add_helper_fn("SetObjectArrayElement", JniFn::kSetObjectArrayElement,
-                [&dvm](arm::Cpu& c) {
+                [](dvm::Dvm& dvm, arm::Cpu& c) {
                   Object* a = decode_or_null(dvm, c.state().regs[1]);
                   Object* v = decode_or_null(dvm, c.state().regs[3]);
                   if (a != nullptr) {
@@ -238,7 +268,8 @@ void JniEnv::build() {
                 });
 
   // --- Field access (Table IV) --------------------------------------------
-  auto get_field = [&dvm](arm::Cpu& c, bool to_ref) {
+  auto get_field = [](arm::Cpu& c, bool to_ref) {
+    dvm::Dvm& dvm = dvm::Dvm::of(c);
     Object* obj = decode_or_null(dvm, c.state().regs[1]);
     const auto fr = dvm.decode_field_id(c.state().regs[2]);
     if (obj == nullptr) throw GuestFault("Get*Field on null object");
@@ -259,7 +290,8 @@ void JniEnv::build() {
                   [get_field](arm::Cpu& c) { get_field(c, false); });
   }
 
-  auto set_field = [&dvm](arm::Cpu& c, bool from_ref) {
+  auto set_field = [](arm::Cpu& c, bool from_ref) {
+    dvm::Dvm& dvm = dvm::Dvm::of(c);
     Object* obj = decode_or_null(dvm, c.state().regs[1]);
     const auto fr = dvm.decode_field_id(c.state().regs[2]);
     if (obj == nullptr) throw GuestFault("Set*Field on null object");
@@ -286,18 +318,18 @@ void JniEnv::build() {
   }
 
   add_helper_fn("GetStaticObjectField", JniFn::kGetStaticObjectField,
-                [&dvm](arm::Cpu& c) {
+                [](dvm::Dvm& dvm, arm::Cpu& c) {
                   const auto fr = dvm.decode_field_id(c.state().regs[2]);
                   const dvm::Slot& slot = fr.cls->statics().at(fr.field->index);
                   c.state().regs[0] = to_local_ref(dvm, slot.value);
                 });
   add_helper_fn("GetStaticIntField", JniFn::kGetStaticIntField,
-                [&dvm](arm::Cpu& c) {
+                [](dvm::Dvm& dvm, arm::Cpu& c) {
                   const auto fr = dvm.decode_field_id(c.state().regs[2]);
                   c.state().regs[0] = fr.cls->statics().at(fr.field->index).value;
                 });
   add_helper_fn("SetStaticObjectField", JniFn::kSetStaticObjectField,
-                [&dvm](arm::Cpu& c) {
+                [](dvm::Dvm& dvm, arm::Cpu& c) {
                   const auto fr = dvm.decode_field_id(c.state().regs[2]);
                   const u32 raw = c.state().regs[3];
                   fr.cls->statics().at(fr.field->index).value =
@@ -305,7 +337,7 @@ void JniEnv::build() {
                   c.state().regs[0] = 0;
                 });
   add_helper_fn("SetStaticIntField", JniFn::kSetStaticIntField,
-                [&dvm](arm::Cpu& c) {
+                [](dvm::Dvm& dvm, arm::Cpu& c) {
                   const auto fr = dvm.decode_field_id(c.state().regs[2]);
                   fr.cls->statics().at(fr.field->index).value =
                       c.state().regs[3];
@@ -314,58 +346,55 @@ void JniEnv::build() {
 
   // --- References / exceptions -------------------------------------------
   add_helper_fn("ExceptionOccurred", JniFn::kExceptionOccurred,
-                [&dvm](arm::Cpu& c) {
+                [](dvm::Dvm& dvm, arm::Cpu& c) {
                   Object* exc = dvm.pending_exception;
                   c.state().regs[0] = exc ? dvm.irt().add(exc) : 0;
                 });
   add_helper_fn("ExceptionClear", JniFn::kExceptionClear,
-                [&dvm](arm::Cpu& c) {
+                [](dvm::Dvm& dvm, arm::Cpu& c) {
                   dvm.pending_exception = nullptr;
                   c.state().regs[0] = 0;
                 });
   add_helper_fn("DeleteLocalRef", JniFn::kDeleteLocalRef,
-                [&dvm](arm::Cpu& c) {
+                [](dvm::Dvm& dvm, arm::Cpu& c) {
                   dvm.irt().remove(c.state().regs[1]);
                   c.state().regs[0] = 0;
                 });
-  add_helper_fn("NewGlobalRef", JniFn::kNewGlobalRef, [&dvm](arm::Cpu& c) {
+  add_helper_fn("NewGlobalRef", JniFn::kNewGlobalRef, [](arm::Cpu& c) {
+    dvm::Dvm& dvm = dvm::Dvm::of(c);
     Object* obj = decode_or_null(dvm, c.state().regs[1]);
     c.state().regs[0] =
         obj ? dvm.irt().add(obj, dvm::RefKind::kGlobal) : 0;
   });
   add_helper_fn("GetObjectClass", JniFn::kGetObjectClass,
-                [&dvm](arm::Cpu& c) {
+                [](dvm::Dvm& dvm, arm::Cpu& c) {
                   Object* obj = decode_or_null(dvm, c.state().regs[1]);
                   c.state().regs[0] = obj && obj->clazz()
                                           ? dvm.class_mirror(obj->clazz())
                                           : 0;
                 });
   add_helper_fn("PushLocalFrame", JniFn::kPushLocalFrame,
-                [&dvm](arm::Cpu& c) {
+                [](dvm::Dvm& dvm, arm::Cpu& c) {
                   dvm.irt().push_frame();
                   c.state().regs[0] = 0;  // JNI_OK
                 });
   add_helper_fn("PopLocalFrame", JniFn::kPopLocalFrame,
-                [&dvm](arm::Cpu& c) {
+                [](dvm::Dvm& dvm, arm::Cpu& c) {
                   c.state().regs[0] = dvm.irt().pop_frame(c.state().regs[1]);
                 });
-  add_helper_fn("IsSameObject", JniFn::kIsSameObject, [&dvm](arm::Cpu& c) {
+  add_helper_fn("IsSameObject", JniFn::kIsSameObject, [](arm::Cpu& c) {
+    dvm::Dvm& dvm = dvm::Dvm::of(c);
     Object* a = decode_or_null(dvm, c.state().regs[1]);
     Object* b = decode_or_null(dvm, c.state().regs[2]);
     c.state().regs[0] = a == b ? 1 : 0;
   });
-
-  build_object_creation();
-  build_call_method_family();
-  build_throw_new();
 }
 
 // --- Object creation: NOF stubs wrapping MAF guest calls (Table III) ------
 
-void JniEnv::build_object_creation() {
-  auto& dvm = dvm_;
+void Builder::build_object_creation() {
   const GuestAddr h_to_ref =
-      dvm_.cpu().register_helper_auto([&dvm](arm::Cpu& c) {
+      register_helper([](dvm::Dvm& dvm, arm::Cpu& c) {
         c.state().regs[0] = to_local_ref(dvm, c.state().regs[0]);
       });
 
@@ -374,12 +403,12 @@ void JniEnv::build_object_creation() {
     Assembler a(0);
     a.push({LR});
     a.mov(R(0), R(1));
-    a.call(dvm_.sym("dvmCreateStringFromCstr"));
+    a.call(sym("dvmCreateStringFromCstr"));
     a.call(h_to_ref);
     a.pop({PC});
     const auto code = a.finish();
     publish("NewStringUTF", JniFn::kNewStringUTF,
-            dvm_.stub_alloc("NewStringUTF", code));
+            stub_alloc("NewStringUTF", code));
   }
 
   // NewString(env, jchar*, len) -> dvmCreateStringFromUnicode.
@@ -388,12 +417,12 @@ void JniEnv::build_object_creation() {
     a.push({LR});
     a.mov(R(0), R(1));
     a.mov(R(1), R(2));
-    a.call(dvm_.sym("dvmCreateStringFromUnicode"));
+    a.call(sym("dvmCreateStringFromUnicode"));
     a.call(h_to_ref);
     a.pop({PC});
     const auto code = a.finish();
     publish("NewString", JniFn::kNewString,
-            dvm_.stub_alloc("NewString", code));
+            stub_alloc("NewString", code));
   }
 
   // NewObject{,V,A}(env, jclass, ctor, args...) -> dvmAllocObject.
@@ -406,11 +435,11 @@ void JniEnv::build_object_creation() {
     Assembler a(0);
     a.push({LR});
     a.mov(R(0), R(1));
-    a.call(dvm_.sym("dvmAllocObject"));
+    a.call(sym("dvmAllocObject"));
     a.call(h_to_ref);
     a.pop({PC});
     const auto code = a.finish();
-    publish(name, idx, dvm_.stub_alloc(name, code));
+    publish(name, idx, stub_alloc(name, code));
   }
 
   // NewObjectArray(env, len, jclass, init) -> dvmAllocArrayByClass(cls, len).
@@ -419,12 +448,12 @@ void JniEnv::build_object_creation() {
     a.push({LR});
     a.mov(R(0), R(2));  // class
     // r1 already = len
-    a.call(dvm_.sym("dvmAllocArrayByClass"));
+    a.call(sym("dvmAllocArrayByClass"));
     a.call(h_to_ref);
     a.pop({PC});
     const auto code = a.finish();
     publish("NewObjectArray", JniFn::kNewObjectArray,
-            dvm_.stub_alloc("NewObjectArray", code));
+            stub_alloc("NewObjectArray", code));
   }
 
   // New<Prim>Array(env, len) -> dvmAllocPrimitiveArray(elem_size, len).
@@ -438,20 +467,19 @@ void JniEnv::build_object_creation() {
     a.push({LR});
     a.mov_imm(R(0), elem_size);
     // r1 already = len
-    a.call(dvm_.sym("dvmAllocPrimitiveArray"));
+    a.call(sym("dvmAllocPrimitiveArray"));
     a.call(h_to_ref);
     a.pop({PC});
     const auto code = a.finish();
-    publish(name, idx, dvm_.stub_alloc(name, code));
+    publish(name, idx, stub_alloc(name, code));
   }
 }
 
 // --- Call*Method family (Table II) -----------------------------------------
 
-void JniEnv::build_call_method_family() {
-  auto& dvm = dvm_;
+void Builder::build_call_method_family() {
   const GuestAddr h_to_ref =
-      dvm_.cpu().register_helper_auto([&dvm](arm::Cpu& c) {
+      register_helper([](dvm::Dvm& dvm, arm::Cpu& c) {
         c.state().regs[0] = to_local_ref(dvm, c.state().regs[0]);
       });
 
@@ -485,7 +513,7 @@ void JniEnv::build_call_method_family() {
         }
         a.mov(R(2), arm::SP);            // result ptr
         // r3 already = args_ptr
-        a.call(dvm_.call_method_stub(target));
+        a.call(sym(target == 'A' ? "dvmCallMethodA" : "dvmCallMethodV"));
         a.ldr(R(0), arm::SP, 0);
         a.add_imm(arm::SP, arm::SP, 8);
         if (ref_result) a.call(h_to_ref);
@@ -498,7 +526,7 @@ void JniEnv::build_call_method_family() {
         const u32 form_off = form[0] == 'V' ? 1 : (form[0] == 'A' ? 2 : 0);
         publish(name,
                 static_cast<JniFn>(base_idx + kind_off + type_off + form_off),
-                dvm_.stub_alloc(name, code));
+                stub_alloc(name, code));
       }
     }
   }
@@ -506,13 +534,12 @@ void JniEnv::build_call_method_family() {
 
 // --- ThrowNew -> initException -> dvmCreateStringFromCstr ------------------
 
-void JniEnv::build_throw_new() {
-  auto& dvm = dvm_;
+void Builder::build_throw_new() {
 
   // initException(jclass, msg_string_real_addr): builds the exception object
   // around the already-created message string and sets it pending.
   const GuestAddr h_init_exc =
-      dvm_.cpu().register_helper_auto([&dvm](arm::Cpu& c) {
+      register_helper([](dvm::Dvm& dvm, arm::Cpu& c) {
         dvm::ClassObject* cls = dvm.class_at(c.state().regs[0]);
         Object* msg = dvm.heap().object_at(c.state().regs[1]);
         if (cls->find_instance_field("message") == nullptr) {
@@ -533,14 +560,14 @@ void JniEnv::build_throw_new() {
     a.push({R(4), LR});
     a.mov(R(4), R(0));  // save class
     a.mov(R(0), R(1));  // cstr
-    a.call(dvm_.sym("dvmCreateStringFromCstr"));
+    a.call(sym("dvmCreateStringFromCstr"));
     a.mov(R(1), R(0));  // msg string real addr
     a.mov(R(0), R(4));  // class
     a.call(h_init_exc);
     a.pop({R(4), PC});
     const auto code = a.finish();
-    init_exception_addr = dvm_.stub_alloc("initException", code);
-    symbols_["initException"] = init_exception_addr;
+    init_exception_addr = stub_alloc("initException", code);
+    image_.symbols["initException"] = init_exception_addr;
   }
 
   // ThrowNew(env, jclass, msg_cstr) -> initException(jclass, msg).
@@ -553,8 +580,25 @@ void JniEnv::build_throw_new() {
     a.mov_imm(R(0), 0);  // JNI_OK
     a.pop({PC});
     const auto code = a.finish();
-    publish("ThrowNew", JniFn::kThrowNew, dvm_.stub_alloc("ThrowNew", code));
+    publish("ThrowNew", JniFn::kThrowNew, stub_alloc("ThrowNew", code));
   }
+}
+
+}  // namespace
+
+JniImage JniEnv::build_image(arm::Cpu& cpu, dvm::LibdvmImage& libdvm) {
+  JniImage image;
+  // JNIEnv* -> table pointer -> function pointers.
+  image.table_addr =
+      libdvm.arena.alloc_data(4 * static_cast<u32>(JniFn::kCount));
+  image.env_addr = libdvm.arena.alloc_data(4);
+  cpu.memory().write32(image.env_addr, image.table_addr);
+  Builder b{cpu, libdvm, image};
+  b.build_accessors();
+  b.build_object_creation();
+  b.build_call_method_family();
+  b.build_throw_new();
+  return image;
 }
 
 }  // namespace ndroid::jni

@@ -19,11 +19,16 @@
 //
 // None of these functions propagates taint: that is precisely TaintDroid's
 // JNI blind spot (paper §IV); NDroid's hook engines add the propagation.
+//
+// The table, its stubs and its helpers are assembled into libdvm.so once per
+// process (build_image, part of android::SystemImage); a JniEnv only binds
+// the result.
 #pragma once
 
 #include <map>
 #include <string>
 
+#include "common/symbol_table.h"
 #include "dvm/dvm.h"
 #include "os/kernel.h"
 
@@ -117,15 +122,27 @@ enum class JniFn : u32 {
   kCount,
 };
 
+/// The JNI function table as built once per process. JniEnv objects bind
+/// it by reference, so it must outlive them.
+struct JniImage {
+  SymbolTable::Map symbols;
+  GuestAddr env_addr = 0;
+  GuestAddr table_addr = 0;
+};
+
 class JniEnv {
  public:
-  JniEnv(dvm::Dvm& dvm, os::Kernel& kernel);
+  /// Assembles the table, its stubs and its helpers into `libdvm` (already
+  /// built on `cpu` by dvm::Dvm::build_image).
+  static JniImage build_image(arm::Cpu& cpu, dvm::LibdvmImage& libdvm);
+
+  JniEnv(dvm::Dvm& dvm, const JniImage& image);
 
   JniEnv(const JniEnv&) = delete;
   JniEnv& operator=(const JniEnv&) = delete;
 
   /// The JNIEnv* value native methods receive in R0.
-  [[nodiscard]] GuestAddr env_addr() const { return env_addr_; }
+  [[nodiscard]] GuestAddr env_addr() const { return image_.env_addr; }
 
   /// Guest address of a JNI function by name (e.g. "NewStringUTF").
   [[nodiscard]] GuestAddr fn(const std::string& name) const;
@@ -133,24 +150,13 @@ class JniEnv {
 
   /// All published function symbols (hook engines iterate these the way
   /// NDroid derived offsets by disassembling libdvm.so, §V-G).
-  [[nodiscard]] const std::map<std::string, GuestAddr>& symbols() const {
-    return symbols_;
+  [[nodiscard]] const SymbolTable::Map& symbols() const {
+    return image_.symbols;
   }
 
  private:
-  void build();
-  GuestAddr add_helper_fn(const std::string& name, JniFn index,
-                          arm::Helper helper);
-  void publish(const std::string& name, JniFn index, GuestAddr addr);
-  void build_call_method_family();
-  void build_object_creation();
-  void build_throw_new();
-
   dvm::Dvm& dvm_;
-  os::Kernel& kernel_;
-  GuestAddr env_addr_ = 0;
-  GuestAddr table_addr_ = 0;
-  std::map<std::string, GuestAddr> symbols_;
+  const JniImage& image_;
 };
 
 }  // namespace ndroid::jni

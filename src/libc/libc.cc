@@ -18,45 +18,62 @@ using arm::PC;
 using arm::R;
 using arm::SP;
 
-Libc::Libc(arm::Cpu& cpu, os::Kernel& kernel, GuestAddr libc_base,
-           u32 libc_size, GuestAddr libm_base, u32 libm_size)
-    : cpu_(cpu), kernel_(kernel) {
-  cpu_.memmap().add("libc.so", libc_base, libc_size, mem::kRX);
-  code_bump_ = libc_base;
-  code_end_ = libc_base + libc_size - 0x800;
-  file_struct_bump_ = libc_base + libc_size - 0x800;  // FILE structs
-
-  build_asm_string_functions(libc_base, code_end_);
-  build_stdio(libc_base);
-  build_syscall_wrappers();
-  build_libm(libm_base, libm_size);
+Libc::Libc(arm::Cpu& cpu, os::Kernel& kernel, const LibcImage& image)
+    : cpu_(cpu),
+      kernel_(kernel),
+      symbols_(image.symbols),
+      file_struct_bump_(image.file_struct_base) {
+  cpu_.set_owner(arm::HelperOwner::kLibc, this);
 }
 
 GuestAddr Libc::fn(const std::string& name) const {
-  auto it = symbols_.find(name);
-  if (it == symbols_.end()) throw GuestFault("no libc symbol: " + name);
-  return it->second;
+  const GuestAddr addr = symbols_.find(name);
+  if (addr == 0) throw GuestFault("no libc symbol: " + name);
+  return addr;
 }
 
-GuestAddr Libc::add_asm(const std::string& name,
-                        const std::function<void(Assembler&)>& body) {
-  Assembler a(code_bump_);
-  body(a);
-  const auto code = a.finish();
-  if (code_bump_ + code.size() > code_end_) {
-    throw GuestFault("libc code space exhausted");
+/// Build-time state: code assembles into libc.so; helpers are shared by
+/// every Device and find their Libc through the Cpu they run on (of()).
+struct Libc::Builder {
+  arm::Cpu& cpu;
+  LibcImage& image;
+  GuestAddr code_bump = 0;
+  GuestAddr code_end = 0;
+
+  GuestAddr add_asm(const std::string& name,
+                    const std::function<void(Assembler&)>& body) {
+    Assembler a(code_bump);
+    body(a);
+    const auto code = a.finish();
+    if (code_bump + code.size() > code_end) {
+      throw GuestFault("libc code space exhausted");
+    }
+    cpu.memory().write_bytes(code_bump, code);
+    const GuestAddr addr = code_bump;
+    code_bump += (static_cast<u32>(code.size()) + 3) & ~3u;
+    image.symbols[name] = addr;
+    return addr;
   }
-  cpu_.memory().write_bytes(code_bump_, code);
-  const GuestAddr addr = code_bump_;
-  code_bump_ += (static_cast<u32>(code.size()) + 3) & ~3u;
-  symbols_[name] = addr;
-  return addr;
-}
+  GuestAddr add_helper(const std::string& name, arm::Helper helper) {
+    const GuestAddr addr = cpu.register_helper_auto(std::move(helper));
+    image.symbols[name] = addr;
+    return addr;
+  }
+};
 
-GuestAddr Libc::add_helper(const std::string& name, arm::Helper helper) {
-  const GuestAddr addr = cpu_.register_helper_auto(std::move(helper));
-  symbols_[name] = addr;
-  return addr;
+LibcImage Libc::build_image(arm::Cpu& cpu, GuestAddr libc_base,
+                            u32 libc_size, GuestAddr libm_base,
+                            u32 libm_size) {
+  LibcImage image;
+  cpu.memmap().add("libc.so", libc_base, libc_size, mem::kRX);
+  // Code grows up from the base; FILE structs take the last 2 KiB.
+  image.file_struct_base = libc_base + libc_size - 0x800;
+  Builder b{cpu, image, libc_base, image.file_struct_base};
+  build_asm_string_functions(b);
+  build_stdio(b);
+  build_syscall_wrappers(b);
+  build_libm(b, libm_base, libm_size);
+  return image;
 }
 
 // ---------------------------------------------------------------------------
@@ -90,9 +107,9 @@ void Libc::free_guest(GuestAddr addr) {
 // String/memory functions in genuine guest assembly
 // ---------------------------------------------------------------------------
 
-void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
+void Libc::build_asm_string_functions(Builder& b) {
   // void* memcpy(dst, src, n) — byte loop, returns dst.
-  add_asm("memcpy", [](Assembler& a) {
+  b.add_asm("memcpy", [](Assembler& a) {
     Label loop, done;
     a.mov(R(3), R(0));
     a.bind(loop);
@@ -107,7 +124,7 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
   });
 
   // void* memmove(dst, src, n) — picks direction for overlap.
-  add_asm("memmove", [](Assembler& a) {
+  b.add_asm("memmove", [](Assembler& a) {
     Label fwd, fwd_loop, bwd_loop, done;
     a.cmp(R(0), R(1));
     a.b(fwd, Cond::kLS);  // dst <= src: forward copy
@@ -135,7 +152,7 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
   });
 
   // void* memset(s, c, n) — returns s.
-  add_asm("memset", [](Assembler& a) {
+  b.add_asm("memset", [](Assembler& a) {
     Label loop, done;
     a.mov(R(3), R(0));
     a.bind(loop);
@@ -149,7 +166,7 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
   });
 
   // size_t strlen(s)
-  add_asm("strlen", [](Assembler& a) {
+  b.add_asm("strlen", [](Assembler& a) {
     Label loop, done;
     a.mov(R(1), R(0));
     a.bind(loop);
@@ -163,7 +180,7 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
   });
 
   // char* strcpy(dst, src) — returns dst.
-  add_asm("strcpy", [](Assembler& a) {
+  b.add_asm("strcpy", [](Assembler& a) {
     Label loop;
     a.mov(R(2), R(0));
     a.bind(loop);
@@ -175,7 +192,7 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
   });
 
   // char* strncpy(dst, src, n)
-  add_asm("strncpy", [](Assembler& a) {
+  b.add_asm("strncpy", [](Assembler& a) {
     Label loop, pad, done;
     a.mov(R(3), R(0));
     a.bind(loop);
@@ -199,7 +216,7 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
   });
 
   // int strcmp(a, b)
-  add_asm("strcmp", [](Assembler& a) {
+  b.add_asm("strcmp", [](Assembler& a) {
     Label loop, diff;
     a.bind(loop);
     a.ldrb_post(R(2), R(0), 1);
@@ -216,7 +233,7 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
   });
 
   // int strncmp(a, b, n)
-  add_asm("strncmp", [](Assembler& a) {
+  b.add_asm("strncmp", [](Assembler& a) {
     Label loop, diff, zero;
     a.bind(loop);
     a.cmp_imm(R(2), 0);
@@ -237,7 +254,7 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
   });
 
   // int memcmp(a, b, n)
-  add_asm("memcmp", [](Assembler& a) {
+  b.add_asm("memcmp", [](Assembler& a) {
     Label loop, diff, zero;
     a.bind(loop);
     a.cmp_imm(R(2), 0);
@@ -257,7 +274,7 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
   });
 
   // char* strcat(dst, src)
-  add_asm("strcat", [](Assembler& a) {
+  b.add_asm("strcat", [](Assembler& a) {
     Label seek, copy;
     a.mov(R(2), R(0));
     a.bind(seek);  // find NUL of dst
@@ -275,7 +292,7 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
   });
 
   // char* strchr(s, c)
-  add_asm("strchr", [](Assembler& a) {
+  b.add_asm("strchr", [](Assembler& a) {
     Label loop, found, nope;
     a.and_imm(R(1), R(1), 0xFF);
     a.bind(loop);
@@ -293,7 +310,7 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
   });
 
   // char* strrchr(s, c)
-  add_asm("strrchr", [](Assembler& a) {
+  b.add_asm("strrchr", [](Assembler& a) {
     Label loop, skip;
     a.and_imm(R(1), R(1), 0xFF);
     a.mov_imm(R(3), 0);  // last match
@@ -310,7 +327,7 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
   });
 
   // void* memchr(s, c, n)
-  add_asm("memchr", [](Assembler& a) {
+  b.add_asm("memchr", [](Assembler& a) {
     Label loop, found, nope;
     a.and_imm(R(1), R(1), 0xFF);
     a.bind(loop);
@@ -329,7 +346,7 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
   });
 
   // int atoi(s) — optional minus sign, decimal digits.
-  add_asm("atoi", [](Assembler& a) {
+  b.add_asm("atoi", [](Assembler& a) {
     Label loop, done, negate, no_sign;
     a.mov_imm(R(1), 0);   // acc
     a.mov_imm(R(3), 0);   // negative flag
@@ -360,7 +377,7 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
   });
 
   // char* strstr(h, n) — naive quadratic search.
-  add_asm("strstr", [](Assembler& a) {
+  b.add_asm("strstr", [](Assembler& a) {
     Label outer, inner, found, nope, advance;
     a.push({R(4), LR});
     a.bind(outer);
@@ -388,22 +405,21 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
   });
 
   // char* strdup(s): malloc(strlen(s)+1) + strcpy.
-  const GuestAddr h_strdup = cpu_.register_helper_auto([this](arm::Cpu& c) {
+  b.add_helper("strdup", [](arm::Cpu& c) {
     const std::string s = c.memory().read_cstr(c.state().regs[0]);
-    const GuestAddr copy = malloc_guest(static_cast<u32>(s.size()) + 1);
+    const GuestAddr copy = of(c).malloc_guest(static_cast<u32>(s.size()) + 1);
     c.memory().write_cstr(copy, s);
     c.state().regs[0] = copy;
   });
-  symbols_["strdup"] = h_strdup;
 
-  add_helper("strcasecmp", [](arm::Cpu& c) {
+  b.add_helper("strcasecmp", [](arm::Cpu& c) {
     std::string a = c.memory().read_cstr(c.state().regs[0]);
     std::string b = c.memory().read_cstr(c.state().regs[1]);
     for (char& ch : a) ch = static_cast<char>(std::tolower(ch));
     for (char& ch : b) ch = static_cast<char>(std::tolower(ch));
     c.state().regs[0] = static_cast<u32>(a.compare(b));
   });
-  add_helper("strncasecmp", [](arm::Cpu& c) {
+  b.add_helper("strncasecmp", [](arm::Cpu& c) {
     const u32 n = c.state().regs[2];
     std::string a = c.memory().read_cstr(c.state().regs[0]).substr(0, n);
     std::string b = c.memory().read_cstr(c.state().regs[1]).substr(0, n);
@@ -411,37 +427,39 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
     for (char& ch : b) ch = static_cast<char>(std::tolower(ch));
     c.state().regs[0] = static_cast<u32>(a.compare(b));
   });
-  add_helper("strtoul", [](arm::Cpu& c) {
+  b.add_helper("strtoul", [](arm::Cpu& c) {
     const std::string s = c.memory().read_cstr(c.state().regs[0]);
     c.state().regs[0] = static_cast<u32>(
         std::strtoul(s.c_str(), nullptr, static_cast<int>(c.state().regs[2])));
   });
-  add_helper("atol", [](arm::Cpu& c) {
+  b.add_helper("atol", [](arm::Cpu& c) {
     const std::string s = c.memory().read_cstr(c.state().regs[0]);
     c.state().regs[0] = static_cast<u32>(std::atol(s.c_str()));
   });
-  add_helper("sysconf", [](arm::Cpu& c) { c.state().regs[0] = 4096; });
+  b.add_helper("sysconf", [](arm::Cpu& c) { c.state().regs[0] = 4096; });
 
   // Allocation family.
-  add_helper("malloc", [this](arm::Cpu& c) {
-    c.state().regs[0] = malloc_guest(c.state().regs[0]);
+  b.add_helper("malloc", [](arm::Cpu& c) {
+    c.state().regs[0] = of(c).malloc_guest(c.state().regs[0]);
   });
-  add_helper("free", [this](arm::Cpu& c) { free_guest(c.state().regs[0]); });
-  add_helper("calloc", [this](arm::Cpu& c) {
+  b.add_helper("free",
+               [](arm::Cpu& c) { of(c).free_guest(c.state().regs[0]); });
+  b.add_helper("calloc", [](arm::Cpu& c) {
     const u32 bytes = c.state().regs[0] * c.state().regs[1];
-    const GuestAddr p = malloc_guest(bytes);
+    const GuestAddr p = of(c).malloc_guest(bytes);
     c.memory().fill(p, 0, bytes);
     c.state().regs[0] = p;
   });
-  add_helper("realloc", [this](arm::Cpu& c) {
+  b.add_helper("realloc", [](arm::Cpu& c) {
+    Libc& self = of(c);
     const GuestAddr old = c.state().regs[0];
     const u32 size = c.state().regs[1];
-    const GuestAddr p = malloc_guest(size);
+    const GuestAddr p = self.malloc_guest(size);
     if (old != 0) {
-      auto it = block_size_.find(old);
-      const u32 old_size = it == block_size_.end() ? 0 : it->second;
+      auto it = self.block_size_.find(old);
+      const u32 old_size = it == self.block_size_.end() ? 0 : it->second;
       c.memory().copy(p, old, std::min(old_size, size));
-      free_guest(old);
+      self.free_guest(old);
     }
     c.state().regs[0] = p;
   });
@@ -454,6 +472,11 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
 void Libc::register_dl_library(const std::string& name,
                                std::map<std::string, GuestAddr> dl_symbols) {
   // First registration also installs the guest-visible entry points.
+  // These helpers belong to this Device alone (registered above the shared
+  // table), so they may capture it.
+  auto add_helper = [this](const std::string& fn_name, arm::Helper helper) {
+    symbols_.set(fn_name, cpu_.register_helper_auto(std::move(helper)));
+  };
   if (dl_libraries_.empty() && !symbols_.contains("dlopen")) {
     add_helper("dlopen", [this](arm::Cpu& c) {
       const std::string wanted = c.memory().read_cstr(c.state().regs[0]);
@@ -540,99 +563,106 @@ std::string Libc::read_format_args(arm::Cpu& c, const std::string& fmt,
   return out;
 }
 
-void Libc::build_stdio(GuestAddr /*base*/) {
+void Libc::build_stdio(Builder& b) {
   // FILE* fopen(path, mode)
-  add_helper("fopen", [this](arm::Cpu& c) {
+  b.add_helper("fopen", [](arm::Cpu& c) {
+    Libc& self = of(c);
     const std::string path = c.memory().read_cstr(c.state().regs[0]);
     const std::string mode = c.memory().read_cstr(c.state().regs[1]);
     u32 flags = os::kOpenRead;
     if (mode.find('w') != std::string::npos) flags = os::kOpenWrite;
     if (mode.find('a') != std::string::npos) flags = os::kOpenAppend;
-    const int fd = kernel_.open_file(path, flags);
+    const int fd = self.kernel_.open_file(path, flags);
     if (fd < 0) {
       c.state().regs[0] = 0;
       return;
     }
-    const GuestAddr file = file_struct_bump_;
-    file_struct_bump_ += 8;
+    const GuestAddr file = self.file_struct_bump_;
+    self.file_struct_bump_ += 8;
     c.memory().write32(file, static_cast<u32>(fd));
-    files_[file] = fd;
+    self.files_[file] = fd;
     c.state().regs[0] = file;
   });
 
-  add_helper("fclose", [this](arm::Cpu& c) {
-    auto it = files_.find(c.state().regs[0]);
-    if (it != files_.end()) {
-      kernel_.close_fd(it->second);
-      files_.erase(it);
+  b.add_helper("fclose", [](arm::Cpu& c) {
+    Libc& self = of(c);
+    auto it = self.files_.find(c.state().regs[0]);
+    if (it != self.files_.end()) {
+      self.kernel_.close_fd(it->second);
+      self.files_.erase(it);
     }
     c.state().regs[0] = 0;
   });
 
   // size_t fwrite(buf, size, count, FILE*)
-  add_helper("fwrite", [this](arm::Cpu& c) {
+  b.add_helper("fwrite", [](arm::Cpu& c) {
+    Libc& self = of(c);
     const GuestAddr buf = c.state().regs[0];
     const u32 bytes = c.state().regs[1] * c.state().regs[2];
-    auto it = files_.find(c.state().regs[3]);
-    if (it == files_.end()) {
+    auto it = self.files_.find(c.state().regs[3]);
+    if (it == self.files_.end()) {
       c.state().regs[0] = 0;
       return;
     }
     std::vector<u8> data(bytes);
     c.memory().read_bytes(buf, data);
-    kernel_.write_fd(it->second, data);
+    self.kernel_.write_fd(it->second, data);
     c.state().regs[0] = c.state().regs[2];
   });
 
   // size_t fread(buf, size, count, FILE*)
-  add_helper("fread", [this](arm::Cpu& c) {
+  b.add_helper("fread", [](arm::Cpu& c) {
+    Libc& self = of(c);
     const GuestAddr buf = c.state().regs[0];
     const u32 bytes = c.state().regs[1] * c.state().regs[2];
-    auto it = files_.find(c.state().regs[3]);
-    if (it == files_.end()) {
+    auto it = self.files_.find(c.state().regs[3]);
+    if (it == self.files_.end()) {
       c.state().regs[0] = 0;
       return;
     }
     std::vector<u8> data(bytes);
-    const u32 n = kernel_.read_fd(it->second, data);
+    const u32 n = self.kernel_.read_fd(it->second, data);
     c.memory().write_bytes(buf, std::span<const u8>(data.data(), n));
     c.state().regs[0] = c.state().regs[1] ? n / c.state().regs[1] : 0;
   });
 
   // int fputc(c, FILE*)
-  add_helper("fputc", [this](arm::Cpu& c) {
-    auto it = files_.find(c.state().regs[1]);
-    if (it != files_.end()) {
+  b.add_helper("fputc", [](arm::Cpu& c) {
+    Libc& self = of(c);
+    auto it = self.files_.find(c.state().regs[1]);
+    if (it != self.files_.end()) {
       const u8 ch = static_cast<u8>(c.state().regs[0]);
-      kernel_.write_fd(it->second, std::span<const u8>(&ch, 1));
+      self.kernel_.write_fd(it->second, std::span<const u8>(&ch, 1));
     }
     // returns the char
   });
 
   // int fputs(s, FILE*)
-  add_helper("fputs", [this](arm::Cpu& c) {
-    auto it = files_.find(c.state().regs[1]);
-    if (it != files_.end()) {
+  b.add_helper("fputs", [](arm::Cpu& c) {
+    Libc& self = of(c);
+    auto it = self.files_.find(c.state().regs[1]);
+    if (it != self.files_.end()) {
       const std::string s = c.memory().read_cstr(c.state().regs[0]);
-      kernel_.write_fd(it->second,
-                       {reinterpret_cast<const u8*>(s.data()), s.size()});
+      self.kernel_.write_fd(
+          it->second, {reinterpret_cast<const u8*>(s.data()), s.size()});
     }
     c.state().regs[0] = 0;
   });
 
   // char* fgets(buf, n, FILE*)
-  add_helper("fgets", [this](arm::Cpu& c) {
-    auto it = files_.find(c.state().regs[2]);
+  b.add_helper("fgets", [](arm::Cpu& c) {
+    Libc& self = of(c);
+    auto it = self.files_.find(c.state().regs[2]);
     const GuestAddr buf = c.state().regs[0];
     const u32 n = c.state().regs[1];
-    if (it == files_.end() || n == 0) {
+    if (it == self.files_.end() || n == 0) {
       c.state().regs[0] = 0;
       return;
     }
     std::string line;
     u8 ch = 0;
     while (line.size() + 1 < n &&
-           kernel_.read_fd(it->second, std::span<u8>(&ch, 1)) == 1) {
+           self.kernel_.read_fd(it->second, std::span<u8>(&ch, 1)) == 1) {
       line.push_back(static_cast<char>(ch));
       if (ch == '\n') break;
     }
@@ -645,19 +675,20 @@ void Libc::build_stdio(GuestAddr /*base*/) {
   });
 
   // int fprintf(FILE*, fmt, ...) — varargs from r2, r3, then stack.
-  add_helper("fprintf", [this](arm::Cpu& c) {
+  b.add_helper("fprintf", [](arm::Cpu& c) {
+    Libc& self = of(c);
     const std::string fmt = c.memory().read_cstr(c.state().regs[1]);
     const std::string out = read_format_args(c, fmt, 2, c.state().sp());
-    auto it = files_.find(c.state().regs[0]);
-    if (it != files_.end()) {
-      kernel_.write_fd(it->second,
-                       {reinterpret_cast<const u8*>(out.data()), out.size()});
+    auto it = self.files_.find(c.state().regs[0]);
+    if (it != self.files_.end()) {
+      self.kernel_.write_fd(
+          it->second, {reinterpret_cast<const u8*>(out.data()), out.size()});
     }
     c.state().regs[0] = static_cast<u32>(out.size());
   });
 
   // int sprintf(buf, fmt, ...)
-  add_helper("sprintf", [this](arm::Cpu& c) {
+  b.add_helper("sprintf", [](arm::Cpu& c) {
     const std::string fmt = c.memory().read_cstr(c.state().regs[1]);
     const std::string out = read_format_args(c, fmt, 2, c.state().sp());
     c.memory().write_cstr(c.state().regs[0], out);
@@ -665,7 +696,7 @@ void Libc::build_stdio(GuestAddr /*base*/) {
   });
 
   // int snprintf(buf, n, fmt, ...)
-  add_helper("snprintf", [this](arm::Cpu& c) {
+  b.add_helper("snprintf", [](arm::Cpu& c) {
     const std::string fmt = c.memory().read_cstr(c.state().regs[2]);
     std::string out = read_format_args(c, fmt, 3, c.state().sp());
     const u32 n = c.state().regs[1];
@@ -676,12 +707,12 @@ void Libc::build_stdio(GuestAddr /*base*/) {
     }
     c.state().regs[0] = full;
   });
-  symbols_["vsnprintf"] = symbols_["snprintf"];
-  symbols_["vsprintf"] = symbols_["sprintf"];
-  symbols_["vfprintf"] = symbols_["fprintf"];
+  b.image.symbols["vsnprintf"] = b.image.symbols["snprintf"];
+  b.image.symbols["vsprintf"] = b.image.symbols["sprintf"];
+  b.image.symbols["vfprintf"] = b.image.symbols["fprintf"];
 
   // int sscanf(s, fmt, ...) — supports %d and %s, enough for workloads.
-  add_helper("sscanf", [this](arm::Cpu& c) {
+  b.add_helper("sscanf", [](arm::Cpu& c) {
     const std::string input = c.memory().read_cstr(c.state().regs[0]);
     const std::string fmt = c.memory().read_cstr(c.state().regs[1]);
     u32 reg = 2, stack_idx = 0, matched = 0;
@@ -721,17 +752,17 @@ void Libc::build_stdio(GuestAddr /*base*/) {
 // libm (helper-modeled soft float, 32-bit)
 // ---------------------------------------------------------------------------
 
-void Libc::build_libm(GuestAddr libm_base, u32 libm_size) {
-  cpu_.memmap().add("libm.so", libm_base, libm_size, mem::kRX);
+void Libc::build_libm(Builder& b, GuestAddr libm_base, u32 libm_size) {
+  b.cpu.memmap().add("libm.so", libm_base, libm_size, mem::kRX);
 
-  auto unary = [this](const std::string& name, float (*fn)(float)) {
-    add_helper(name, [fn](arm::Cpu& c) {
+  auto unary = [&b](const std::string& name, float (*fn)(float)) {
+    b.add_helper(name, [fn](arm::Cpu& c) {
       const float x = std::bit_cast<float>(c.state().regs[0]);
       c.state().regs[0] = std::bit_cast<u32>(fn(x));
     });
   };
-  auto binary = [this](const std::string& name, float (*fn)(float, float)) {
-    add_helper(name, [fn](arm::Cpu& c) {
+  auto binary = [&b](const std::string& name, float (*fn)(float, float)) {
+    b.add_helper(name, [fn](arm::Cpu& c) {
       const float x = std::bit_cast<float>(c.state().regs[0]);
       const float y = std::bit_cast<float>(c.state().regs[1]);
       c.state().regs[0] = std::bit_cast<u32>(fn(x, y));
@@ -758,11 +789,11 @@ void Libc::build_libm(GuestAddr libm_base, u32 libm_size) {
   for (const char* n : {"atan2", "atan2f"}) binary(n, [](float x, float y) { return std::atan2(x, y); });
   binary("fmod", [](float x, float y) { return std::fmod(x, y); });
   binary("ldexp", [](float x, float y) { return std::ldexp(x, static_cast<int>(y)); });
-  add_helper("strtod", [](arm::Cpu& c) {
+  b.add_helper("strtod", [](arm::Cpu& c) {
     const std::string s = c.memory().read_cstr(c.state().regs[0]);
     c.state().regs[0] = std::bit_cast<u32>(std::strtof(s.c_str(), nullptr));
   });
-  add_helper("strtol", [](arm::Cpu& c) {
+  b.add_helper("strtol", [](arm::Cpu& c) {
     const std::string s = c.memory().read_cstr(c.state().regs[0]);
     c.state().regs[0] = static_cast<u32>(
         std::strtol(s.c_str(), nullptr, static_cast<int>(c.state().regs[2])));
@@ -773,9 +804,9 @@ void Libc::build_libm(GuestAddr libm_base, u32 libm_size) {
 // Syscall wrappers (guest SVC stubs)
 // ---------------------------------------------------------------------------
 
-void Libc::build_syscall_wrappers() {
-  auto wrapper = [this](const std::string& name, os::Sys number) {
-    add_asm(name, [number](Assembler& a) {
+void Libc::build_syscall_wrappers(Builder& b) {
+  auto wrapper = [&b](const std::string& name, os::Sys number) {
+    b.add_asm(name, [number](Assembler& a) {
       a.push({R(7), LR});
       a.mov_imm32(R(7), static_cast<u32>(number));
       a.svc(0);
@@ -798,7 +829,7 @@ void Libc::build_syscall_wrappers() {
 
   // sendto(fd, buf, n, host, port) — 5 args, 5th on stack; the wrapper loads
   // it into r4 position expected by the kernel ABI (args[4]).
-  add_asm("sendto", [](Assembler& a) {
+  b.add_asm("sendto", [](Assembler& a) {
     a.push({R(4), R(7), LR});
     a.ldr(R(4), SP, 12);  // 5th arg (port) above the saved regs
     a.mov_imm32(R(7), static_cast<u32>(os::Sys::kSendto));

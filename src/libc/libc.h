@@ -21,6 +21,10 @@
 // Syscall wrappers (open/read/write/close/socket/connect/send/sendto/recv)
 // are guest stubs that trap via SVC, so Table VII's kernel-level sinks are
 // observable as guest instructions.
+//
+// The code pages, helpers and symbols are built once per process
+// (build_image, part of android::SystemImage); a Libc binds them and keeps
+// only its allocator, FILE* and dynamic-loader state.
 #pragma once
 
 #include <map>
@@ -29,22 +33,40 @@
 
 #include "arm/assembler.h"
 #include "arm/cpu.h"
+#include "common/symbol_table.h"
 #include "os/kernel.h"
 
 namespace ndroid::libc {
 
+/// libc.so/libm.so as built once per process. Libc objects bind it by
+/// reference, so it must outlive them.
+struct LibcImage {
+  SymbolTable::Map symbols;
+  GuestAddr file_struct_base = 0;  // FILE structs live at the end of libc.so
+};
+
 class Libc {
  public:
-  Libc(arm::Cpu& cpu, os::Kernel& kernel, GuestAddr libc_base, u32 libc_size,
-       GuestAddr libm_base, u32 libm_size);
+  /// Assembles libc.so and registers libm's and libc's helpers on `cpu`.
+  static LibcImage build_image(arm::Cpu& cpu, GuestAddr libc_base,
+                               u32 libc_size, GuestAddr libm_base,
+                               u32 libm_size);
+
+  /// Binds `image` on `cpu`, whose memory already holds libc.so's pages.
+  Libc(arm::Cpu& cpu, os::Kernel& kernel, const LibcImage& image);
+
+  /// The Libc bound on `cpu` (how shared helpers find their owner).
+  [[nodiscard]] static Libc& of(arm::Cpu& cpu) {
+    return cpu.owner<Libc>(arm::HelperOwner::kLibc);
+  }
 
   Libc(const Libc&) = delete;
   Libc& operator=(const Libc&) = delete;
 
   /// Address of a libc/libm function by name.
   [[nodiscard]] GuestAddr fn(const std::string& name) const;
-  [[nodiscard]] const std::map<std::string, GuestAddr>& symbols() const {
-    return symbols_;
+  [[nodiscard]] const SymbolTable::Map& symbols() const {
+    return symbols_.map();
   }
 
   /// Host-side malloc into the guest native heap (used by JNI glue too).
@@ -67,23 +89,18 @@ class Libc {
                            std::map<std::string, GuestAddr> dl_symbols);
 
  private:
-  void build_asm_string_functions(GuestAddr base, GuestAddr end);
-  void build_stdio(GuestAddr base);
-  void build_libm(GuestAddr libm_base, u32 libm_size);
-  void build_syscall_wrappers();
+  struct Builder;
+  static void build_asm_string_functions(Builder& b);
+  static void build_stdio(Builder& b);
+  static void build_libm(Builder& b, GuestAddr libm_base, u32 libm_size);
+  static void build_syscall_wrappers(Builder& b);
 
-  GuestAddr add_asm(const std::string& name,
-                    const std::function<void(arm::Assembler&)>& body);
-  GuestAddr add_helper(const std::string& name, arm::Helper helper);
-
-  std::string read_format_args(arm::Cpu& c, const std::string& fmt,
-                               u32 first_reg, GuestAddr stack_args);
+  static std::string read_format_args(arm::Cpu& c, const std::string& fmt,
+                                      u32 first_reg, GuestAddr stack_args);
 
   arm::Cpu& cpu_;
   os::Kernel& kernel_;
-  std::map<std::string, GuestAddr> symbols_;
-  GuestAddr code_bump_ = 0;
-  GuestAddr code_end_ = 0;
+  SymbolTable symbols_;
 
   // malloc bookkeeping: guest address -> block size; simple size-bucketed
   // free lists over kernel-mmapped arenas.

@@ -18,6 +18,29 @@ AddressSpace::Page& AddressSpace::touch_page(GuestAddr addr) {
   return *page;
 }
 
+std::vector<AddressSpace::PageCopy> AddressSpace::copy_pages(GuestAddr begin,
+                                                             u64 end) const {
+  std::vector<PageCopy> out;
+  for (u64 addr = begin & ~kPageMask; addr < end; addr += kPageSize) {
+    const u32 page_no = static_cast<u32>(addr >> kPageShift);
+    if (root_[page_no >> kLeafBits] == nullptr) {
+      // Skip the whole absent leaf.
+      addr = ((addr >> (kPageShift + kLeafBits)) + 1)
+                 << (kPageShift + kLeafBits);
+      addr -= kPageSize;
+      continue;
+    }
+    if (const Page* p = find_page(static_cast<GuestAddr>(addr))) {
+      out.push_back({static_cast<GuestAddr>(addr), {p->begin(), p->end()}});
+    }
+  }
+  return out;
+}
+
+void AddressSpace::install_pages(const std::vector<PageCopy>& pages) {
+  for (const PageCopy& p : pages) write_bytes(p.base, p.bytes);
+}
+
 u8 AddressSpace::read8_slow(GuestAddr addr) const {
   Page* p = find_page(addr);
   if (p == nullptr) return 0;

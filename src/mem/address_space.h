@@ -32,10 +32,37 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/types.h"
 
 namespace ndroid::mem {
+
+/// Sparse one-flag-per-page map over the 2^20 pages of the 4 GiB space: a
+/// 1024-slot root of lazily allocated 1024-page leaves, so an empty map
+/// costs an 8 KiB root rather than a 1 MiB flat array. The write watch
+/// (below) and the TB cache's code-page set use it.
+class PageFlags {
+ public:
+  [[nodiscard]] bool test(u32 page_no) const {
+    const Leaf* leaf = root_[page_no >> kLeafBits].get();
+    return leaf != nullptr && (*leaf)[page_no & (kLeafSlots - 1)] != 0;
+  }
+  void set(u32 page_no, bool on) {
+    std::unique_ptr<Leaf>& leaf = root_[page_no >> kLeafBits];
+    if (leaf == nullptr) {
+      if (!on) return;
+      leaf = std::make_unique<Leaf>();
+    }
+    (*leaf)[page_no & (kLeafSlots - 1)] = on ? 1 : 0;
+  }
+
+ private:
+  static constexpr u32 kLeafBits = 10;
+  static constexpr u32 kLeafSlots = 1u << kLeafBits;
+  using Leaf = std::array<u8, kLeafSlots>;
+  std::array<std::unique_ptr<Leaf>, (1u << 20) / kLeafSlots> root_;
+};
 
 class AddressSpace {
  public:
@@ -144,17 +171,29 @@ class AddressSpace {
   /// Exact and O(1): maintained by page allocation.
   [[nodiscard]] std::size_t resident_pages() const { return resident_; }
 
-  /// Write watch: `page_bitmap` is a caller-owned byte-per-4KiB-page map of
-  /// interesting pages; `watch` fires after any write touching a marked
-  /// page. The translation-block cache uses this to invalidate cached code
+  /// Byte-for-byte copy of resident pages: how the Android system image
+  /// carries its pre-assembled library pages into every Device.
+  struct PageCopy {
+    GuestAddr base = 0;
+    std::vector<u8> bytes;  // kPageSize bytes
+  };
+  /// Copies every resident page in [begin, end), ascending.
+  [[nodiscard]] std::vector<PageCopy> copy_pages(GuestAddr begin,
+                                                 u64 end) const;
+  /// Writes copied pages back (through the ordinary write path, so a live
+  /// write watch sees them like any other host-side load).
+  void install_pages(const std::vector<PageCopy>& pages);
+
+  /// Write watch: `pages` is a caller-owned map of interesting pages;
+  /// `watch` fires after any write touching a marked page. The translation-block cache uses this to invalidate cached code
   /// on self-modification (both guest stores and host-side loads go through
   /// these write paths). Pass nullptrs to clear.
   ///
   /// Installing (or clearing) a watch flushes the write TLB: entries cached
   /// under the old bitmap may cover pages the new bitmap marks.
   using WriteWatch = std::function<void(GuestAddr addr, u32 len)>;
-  void set_write_watch(const u8* page_bitmap, WriteWatch watch) {
-    watch_pages_ = page_bitmap;
+  void set_write_watch(const PageFlags* pages, WriteWatch watch) {
+    watch_pages_ = pages;
     watch_ = std::move(watch);
     tlb_flush_write();
   }
@@ -259,7 +298,7 @@ class AddressSpace {
   }
   void fill_write_tlb(u32 page_no, Page& p) {
     if (!tlb_enabled_) return;
-    if (watch_pages_ != nullptr && watch_pages_[page_no]) return;
+    if (watch_pages_ != nullptr && watch_pages_->test(page_no)) return;
     write_tlb_[page_no & (kTlbSlots - 1)] = {page_no, p.data()};
   }
 
@@ -276,7 +315,7 @@ class AddressSpace {
     const u32 first = addr >> kPageShift;
     const u32 last = (addr + len - 1) >> kPageShift;
     for (u32 page = first; page <= last; ++page) {
-      if (watch_pages_[page]) {
+      if (watch_pages_->test(page)) {
         watch_(addr, len);
         return;
       }
@@ -288,7 +327,7 @@ class AddressSpace {
   mutable std::array<TlbEntry, kTlbSlots> read_tlb_;
   std::array<TlbEntry, kTlbSlots> write_tlb_;
   bool tlb_enabled_ = true;
-  const u8* watch_pages_ = nullptr;
+  const PageFlags* watch_pages_ = nullptr;
   WriteWatch watch_;
 };
 

@@ -22,23 +22,25 @@ constexpr u32 kVmaName = 0x0C;
 constexpr u32 kVmaSize = 0x10;
 }  // namespace
 
-Kernel::Kernel(mem::AddressSpace& memory, mem::MemoryMap& memmap)
-    : memory_(memory), memmap_(memmap) {
-  memmap_.add("[kernel]", kKernelBase, kKernelSize, mem::kRW);
-  memmap_.add("[heap]", 0x30000000, 0x4000000, mem::kRW);
-  heap_next_ = 0x30000000;
-  memory_.write32(kTaskRoot, 0);
-  kernel_bump_ = kKernelBase + 16;
+Kernel::Kernel(mem::AddressSpace& memory)
+    : memory_(memory), kernel_bump_(kKernelBase + 16) {}
+
+void Kernel::build_image(mem::AddressSpace& memory, mem::MemoryMap& memmap) {
+  memmap.add("[kernel]", kKernelBase, kKernelSize, mem::kRW);
+  memmap.add("[heap]", kHeapBase, kHeapSize, mem::kRW);
+  memory.write32(kTaskRoot, 0);
 }
 
 void Kernel::attach(arm::Cpu& cpu) {
+  cpu.set_owner(arm::HelperOwner::kKernel, this);
   cpu.set_svc_handler(
       [this](arm::Cpu& c, u32 imm) { handle_svc(c, imm); });
 }
 
-u32 Kernel::create_process(std::string name) {
+u32 Kernel::create_process(std::string name,
+                           std::vector<mem::Region> regions) {
   const u32 pid = next_pid_++;
-  processes_.push_back(Process{pid, std::move(name), {}});
+  processes_.push_back(Process{pid, std::move(name), std::move(regions)});
   if (current_pid_ == 0) current_pid_ = pid;
   sync_guest_structs();
   return pid;
@@ -187,7 +189,9 @@ const FdEntry* Kernel::fd_entry(int fd) const {
 GuestAddr Kernel::mmap_anonymous(u32 len) {
   const GuestAddr addr = heap_next_;
   heap_next_ += (len + 0xFFFu) & ~0xFFFu;
-  if (heap_next_ > 0x34000000) throw GuestFault("guest heap exhausted");
+  if (heap_next_ > kHeapBase + kHeapSize) {
+    throw GuestFault("guest heap exhausted");
+  }
   return addr;
 }
 

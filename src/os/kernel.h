@@ -79,18 +79,35 @@ class Kernel {
   static constexpr GuestAddr kKernelBase = 0xC0000000;
   static constexpr u32 kKernelSize = 0x100000;
   static constexpr GuestAddr kTaskRoot = kKernelBase;
+  /// Anonymous-mmap arena ("[heap]").
+  static constexpr GuestAddr kHeapBase = 0x30000000;
+  static constexpr u32 kHeapSize = 0x4000000;
 
-  Kernel(mem::AddressSpace& memory, mem::MemoryMap& memmap);
+  /// Binds a kernel to a Device's memory. The kernel's regions ([kernel],
+  /// [heap]) and its skeleton page (the empty task-list root) come from the
+  /// system image (build_image), not from here.
+  explicit Kernel(mem::AddressSpace& memory);
 
-  /// Routes SVC instructions from the CPU to this kernel.
+  /// Writes the kernel skeleton — regions and the task-list root — into the
+  /// system image under construction.
+  static void build_image(mem::AddressSpace& memory, mem::MemoryMap& memmap);
+
+  /// Routes SVC instructions from the CPU to this kernel, and makes it the
+  /// kernel shared helpers on that CPU run against.
   void attach(arm::Cpu& cpu);
+  [[nodiscard]] static Kernel& of(arm::Cpu& cpu) {
+    return cpu.owner<Kernel>(arm::HelperOwner::kKernel);
+  }
 
   Vfs& vfs() { return vfs_; }
   Network& network() { return network_; }
   [[nodiscard]] const Network& network() const { return network_; }
 
   // --- Processes --------------------------------------------------------
-  u32 create_process(std::string name);
+  /// `regions` seeds the process's memory map (one guest-struct rewrite
+  /// instead of one per map_region call).
+  u32 create_process(std::string name,
+                     std::vector<mem::Region> regions = {});
   /// Records a mapped region for `pid` and mirrors it into the guest-side
   /// VMA list.
   void map_region(u32 pid, const mem::Region& region);
@@ -130,7 +147,6 @@ class Kernel {
   u32 do_syscall(arm::Cpu& cpu, Sys number, const std::array<u32, 6>& args);
 
   mem::AddressSpace& memory_;
-  mem::MemoryMap& memmap_;
   Vfs vfs_;
   Network network_;
 
@@ -142,7 +158,7 @@ class Kernel {
   int next_fd_ = 3;  // 0-2 reserved
 
   GuestAddr kernel_bump_ = 0;  // guest allocator for task structs
-  GuestAddr heap_next_ = 0;
+  GuestAddr heap_next_ = kHeapBase;
 
   std::function<void(const SyscallEvent&)> syscall_observer_;
   bool exited_ = false;

@@ -13,9 +13,10 @@ class DvmFixture : public ::testing::Test {
 
   DvmFixture()
       : cpu_(mem_, map_),
-        dvm_(cpu_, /*libdvm*/ 0x40000000, 0x40000,
-             /*heap*/ 0x34000000, 0x200000,
-             /*stack*/ 0x38000000, 0x40000) {
+        image_(Dvm::build_image(cpu_, {/*libdvm*/ 0x40000000, 0x40000,
+                                       /*heap*/ 0x34000000, 0x200000,
+                                       /*stack*/ 0x38000000, 0x40000})),
+        dvm_(cpu_, image_) {
     map_.add("libapp.so", kNativeCode, 0x4000, mem::kRX);
     map_.add("[stack]", 0xBE000000, 0x100000, mem::kRW);
     cpu_.set_initial_sp(0xBE100000);
@@ -35,6 +36,7 @@ class DvmFixture : public ::testing::Test {
   mem::AddressSpace mem_;
   mem::MemoryMap map_;
   arm::Cpu cpu_;
+  LibdvmImage image_;
   Dvm dvm_;
   u32 native_bump_ = 0;
 };

@@ -20,10 +20,12 @@ class JniFixture : public ::testing::Test {
 
   JniFixture()
       : cpu_(mem_, map_),
-        kernel_(mem_, map_),
-        dvm_(cpu_, 0x40000000, 0x40000, 0x34000000, 0x200000, 0x38000000,
-             0x40000),
-        env_(dvm_, kernel_) {
+        kernel_(mem_),
+        libdvm_(dvm::Dvm::build_image(cpu_, {0x40000000, 0x40000, 0x34000000,
+                                             0x200000, 0x38000000, 0x40000})),
+        jni_image_(JniEnv::build_image(cpu_, libdvm_)),
+        dvm_(cpu_, libdvm_),
+        env_(dvm_, jni_image_) {
     map_.add("libapp.so", kNativeCode, 0x8000, mem::kRX);
     map_.add("[stack]", 0xBE000000, 0x100000, mem::kRW);
     cpu_.set_initial_sp(0xBE100000);
@@ -44,6 +46,8 @@ class JniFixture : public ::testing::Test {
   mem::MemoryMap map_;
   arm::Cpu cpu_;
   os::Kernel kernel_;
+  dvm::LibdvmImage libdvm_;
+  JniImage jni_image_;
   dvm::Dvm dvm_;
   JniEnv env_;
   u32 native_bump_ = 0;

@@ -132,10 +132,10 @@ TEST(AddressSpace, WatchedPageStoresAlwaysFire) {
   // The write-TLB contract: a store entry for a watched page is never
   // cached, so *every* store to it reaches the watch — not just the first.
   AddressSpace mem;
-  std::vector<u8> bitmap(1u << 20, 0);
-  bitmap[0x5000u >> AddressSpace::kPageShift] = 1;
+  PageFlags bitmap;
+  bitmap.set(0x5000u >> AddressSpace::kPageShift, true);
   int fires = 0;
-  mem.set_write_watch(bitmap.data(), [&](GuestAddr, u32) { ++fires; });
+  mem.set_write_watch(&bitmap, [&](GuestAddr, u32) { ++fires; });
   mem.write8(0x5000, 1);
   mem.write8(0x5001, 2);
   mem.write32(0x5004, 3);
@@ -150,10 +150,10 @@ TEST(AddressSpace, WatchedPageStoresAlwaysFire) {
 TEST(AddressSpace, InstallingWatchDropsCachedWriteEntries) {
   AddressSpace mem;
   mem.write8(0x5000, 1);  // caches a write-TLB entry for the page
-  std::vector<u8> bitmap(1u << 20, 0);
-  bitmap[0x5000u >> AddressSpace::kPageShift] = 1;
+  PageFlags bitmap;
+  bitmap.set(0x5000u >> AddressSpace::kPageShift, true);
   int fires = 0;
-  mem.set_write_watch(bitmap.data(), [&](GuestAddr, u32) { ++fires; });
+  mem.set_write_watch(&bitmap, [&](GuestAddr, u32) { ++fires; });
   mem.write8(0x5002, 2);  // must take the slow path and fire
   EXPECT_EQ(fires, 1);
   mem.set_write_watch(nullptr, {});
@@ -164,12 +164,12 @@ TEST(AddressSpace, LateArmedWatchBitNeedsInvalidate) {
   // a block into an already-written page) requires the owner to drop the
   // entry via tlb_invalidate_write_page — which must make the watch fire.
   AddressSpace mem;
-  std::vector<u8> bitmap(1u << 20, 0);
+  PageFlags bitmap;
   int fires = 0;
-  mem.set_write_watch(bitmap.data(), [&](GuestAddr, u32) { ++fires; });
+  mem.set_write_watch(&bitmap, [&](GuestAddr, u32) { ++fires; });
   mem.write8(0x5000, 1);  // unwatched: cached, no fire
   EXPECT_EQ(fires, 0);
-  bitmap[0x5000u >> AddressSpace::kPageShift] = 1;  // bit arms late
+  bitmap.set(0x5000u >> AddressSpace::kPageShift, true);  // bit arms late
   mem.tlb_invalidate_write_page(0x5000u >> AddressSpace::kPageShift);
   mem.write8(0x5001, 2);
   EXPECT_EQ(fires, 1);

@@ -12,7 +12,7 @@ class OsFixture : public ::testing::Test {
   static constexpr GuestAddr kCode = 0x10000;
   static constexpr GuestAddr kData = 0x20000;
 
-  OsFixture() : cpu_(mem_, map_), kernel_(mem_, map_) {
+  OsFixture() : cpu_(mem_, map_), kernel_(mem_) {
     map_.add("code", kCode, 0x4000, mem::kRX);
     map_.add("data", kData, 0x4000, mem::kRW);
     map_.add("[stack]", 0x70000, 0x10000, mem::kRW);
